@@ -1,6 +1,8 @@
 #include "exec/schedule.hpp"
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -32,6 +34,56 @@ idx_t Schedule::total_messages() const {
     for (const SpaceComm& sc : space) msgs += static_cast<idx_t>(sc.sends.size());
   for (const SpaceComm& sc : outComm) msgs += static_cast<idx_t>(sc.sends.size());
   return msgs;
+}
+
+std::vector<SpaceComm> build_space_comm(const std::vector<idx_t>& owner,
+                                        const std::vector<ProcTasks>& tasks,
+                                        std::vector<idx_t> ProcTasks::* uses,
+                                        Flow flow) {
+  const std::size_t K = tasks.size();
+  std::vector<SpaceComm> comm(K);
+  for (std::size_t id = 0; id < owner.size(); ++id)
+    comm[uz(owner[id])].owned.push_back(static_cast<idx_t>(id));
+
+  // Per user p: its distinct non-owned ids, sorted by (owner, id), become
+  // one message per owner with ascending ids. `seen` stamps an id with the
+  // last user that recorded it, so each (id, user) pair is kept once.
+  struct Message {
+    idx_t src, dst;
+    std::vector<idx_t> ids;
+  };
+  std::vector<Message> msgs;
+  std::vector<idx_t> seen(owner.size(), kInvalidIdx);
+  std::vector<std::pair<idx_t, idx_t>> remote;  // (owner, id) of user p
+  for (std::size_t up = 0; up < K; ++up) {
+    const auto p = static_cast<idx_t>(up);
+    remote.clear();
+    for (idx_t id : tasks[up].*uses) {
+      const idx_t q = owner[uz(id)];
+      if (q == p || seen[uz(id)] == p) continue;
+      seen[uz(id)] = p;
+      remote.emplace_back(q, id);
+    }
+    std::sort(remote.begin(), remote.end());
+    for (std::size_t b = 0; b < remote.size();) {
+      const idx_t q = remote[b].first;
+      Message m = flow == Flow::kExpand ? Message{q, p, {}} : Message{p, q, {}};
+      for (; b < remote.size() && remote[b].first == q; ++b) m.ids.push_back(remote[b].second);
+      msgs.push_back(std::move(m));
+    }
+  }
+
+  // (src, dst) order: sends and recvs are both ordered by peer.
+  std::sort(msgs.begin(), msgs.end(), [](const Message& x, const Message& y) {
+    return x.src != y.src ? x.src < y.src : x.dst < y.dst;
+  });
+  for (Message& m : msgs) {
+    auto& sends = comm[uz(m.src)].sends;
+    const auto sendIndex = static_cast<idx_t>(sends.size());
+    comm[uz(m.dst)].recvs.push_back({m.src, m.ids, sendIndex});
+    sends.push_back({m.dst, std::move(m.ids), kInvalidIdx});
+  }
+  return comm;
 }
 
 std::vector<std::string> validate_schedule(const Schedule& s) {

@@ -1,8 +1,8 @@
 // SpMV-typed view of the workload-agnostic compiled execution core
-// (exec/compiled.hpp). A CompiledPlan *is* an exec::Image — the lowering of
-// the plan's schedule (one input space "x", output space "y", baked matrix
-// constants) — and ExecSession is exec::Session with the single-input
-// calling convention: run(x, y) instead of run({x}, y).
+// (exec/compiled.hpp). A CompiledPlan *is* an exec::Image — exec::compile of
+// the plan (one input space "x", output space "y", baked matrix constants)
+// — and ExecSession is exec::Session with the single-input calling
+// convention: run(x, y) instead of run({x}, y).
 //
 // Everything documented on the generic core holds here unchanged: zero
 // allocation per serial iteration after the first, bit-identical serial/MT
@@ -34,13 +34,6 @@ using CompiledPlan = exec::Image;
 /// token checked once at the "plan.compile" phase boundary).
 using CompileOptions = exec::CompileOptions;
 
-/// Lowers a plan: exec::compile over to_schedule(plan). Throws
-/// fghp::InvariantError if the fold schedule references a row its processor
-/// never computes, or if the compiled send-buffer offsets fail to cover
-/// exactly plan.total_words() / plan.total_messages() (both indicate a
-/// corrupt plan).
-CompiledPlan compile_plan(const SpmvPlan& plan, const CompileOptions& opts = {});
-
 /// Owns a compiled image plus the scratch to execute it repeatedly.
 /// After the first run() the serial path performs zero heap allocations per
 /// iteration (reuse the same y vector). Not thread-safe: one session per
@@ -48,7 +41,7 @@ CompiledPlan compile_plan(const SpmvPlan& plan, const CompileOptions& opts = {})
 class ExecSession {
  public:
   explicit ExecSession(const SpmvPlan& plan, const CompileOptions& opts = {})
-      : s_(compile_plan(plan, opts)) {}
+      : s_(plan, opts) {}
   explicit ExecSession(CompiledPlan compiled) : s_(std::move(compiled)) {}
 
   const CompiledPlan& compiled() const { return s_.image(); }
