@@ -30,7 +30,7 @@ echo "--- Address/UB sanitizers: Matrix Market reader + compiled image ---"
 cmake -B build-asan -G Ninja -DFGHP_SANITIZE=address,undefined \
       -DFGHP_BUILD_BENCH=OFF -DFGHP_BUILD_EXAMPLES=ON > /dev/null
 cmake --build build-asan --target test_mmio test_sparse test_fault test_errors \
-      test_compiled fghp_tool
+      test_compiled test_spgemm fghp_tool
 ./build-asan/tests/test_mmio
 ./build-asan/tests/test_sparse
 ./build-asan/tests/test_fault
@@ -39,6 +39,9 @@ cmake --build build-asan --target test_mmio test_sparse test_fault test_errors \
 # SIMD kernels over the whole suite — exactly where an off-by-one in a
 # pre-translated slot would scribble out of bounds.
 ./build-asan/tests/test_compiled
+# Schedule lowering for the two-input workload, and the 64-bit task count
+# refused before any task array is sized.
+./build-asan/tests/test_spgemm
 
 echo "--- fault-injection sweep (ASan/UBSan) ---"
 # Inject every registered fault site once into a real partition->simulate
@@ -347,5 +350,11 @@ if not speedup or speedup <= 1.0:
 print(f"  pareto headline ({matrix}, K=16): geometric {speedup:.1f}x faster "
       f"than multilevel (artifact: build/bench_pareto_smoke.json)")
 PY
+
+echo "--- benchmark self-tests ---"
+# The repository benchmark's own tests: metric/workload names against
+# BENCHMARK.json, the gate's bookkeeping, and short real passes of every
+# workload through a fresh perfbench build.
+python3 perfbench/test_run.py
 
 echo "ALL CHECKS PASSED"

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "sparse/convert.hpp"
@@ -87,6 +88,11 @@ Csr read_matrix_market(std::istream& in, const std::string& path) {
   if (!haveSize) fail(path, lineNo, "missing size line");
   if (rows < 0 || cols < 0 || declared < 0)
     fail(path, lineNo, "size line entries must be non-negative");
+  // Checked before any narrowing cast: 4294967297 would otherwise wrap to 1.
+  constexpr long kMaxIdx = std::numeric_limits<idx_t>::max();
+  if (rows > kMaxIdx || cols > kMaxIdx || declared > kMaxIdx)
+    fail(path, lineNo,
+         "size line entries must not exceed the index range (" + std::to_string(kMaxIdx) + ")");
   if (rows == 0 || cols == 0) {
     if (declared != 0) fail(path, lineNo, "empty matrix cannot declare nonzeros");
     return to_csr(Coo(static_cast<idx_t>(rows), static_cast<idx_t>(cols)));

@@ -1,8 +1,12 @@
 #include "spgemm/tasks.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <string>
 
 #include "util/assert.hpp"
+#include "util/error.hpp"
 #include "util/trace.hpp"
 
 namespace fghp::spgemm {
@@ -16,6 +20,23 @@ TaskGraph build_tasks(const sparse::Csr& a, const sparse::Csr& b) {
                "SpGEMM operand shapes do not chain (cols(A) != rows(B))");
   trace::TraceScope span("spgemm", "tasks.build", "nnzA", a.nnz(), "nnzB", b.nnz());
 
+  // Row starts of B in global entry coordinates (B entry f = CSR position).
+  const std::vector<idx_t>& bPtr = b.row_ptr();
+
+  // One task per (a_ik, b_kj) pair: sum nnz(B(k,:)) over A's entries in 64
+  // bits and refuse, before allocating anything, a count the idx_t task
+  // space cannot hold.
+  std::int64_t numTasks = 0;
+  for (idx_t k : a.col_ind()) numTasks += bPtr[uz(k) + 1] - bPtr[uz(k)];
+  if (numTasks > std::numeric_limits<idx_t>::max()) {
+    ErrorContext ctx;
+    ctx.phase = "spgemm.tasks";
+    throw InfeasibleError("SpGEMM has " + std::to_string(numTasks) +
+                              " scalar tasks, more than the index range (" +
+                              std::to_string(std::numeric_limits<idx_t>::max()) + ")",
+                          std::move(ctx));
+  }
+
   TaskGraph t;
   t.aRows = a.num_rows();
   t.inner = a.num_cols();
@@ -23,8 +44,9 @@ TaskGraph build_tasks(const sparse::Csr& a, const sparse::Csr& b) {
   t.numA = a.nnz();
   t.numB = b.nnz();
 
-  // Row starts of B in global entry coordinates (B entry f = CSR position).
-  const std::vector<idx_t>& bPtr = b.row_ptr();
+  t.taskC.reserve(static_cast<std::size_t>(numTasks));
+  t.taskA.reserve(static_cast<std::size_t>(numTasks));
+  t.taskB.reserve(static_cast<std::size_t>(numTasks));
 
   // One row of C at a time: generate (j, A entry, B entry) triples in
   // k-ascending order (A rows store ascending columns), then a stable sort

@@ -39,7 +39,9 @@ struct TaskGraph {
 };
 
 /// Symbolic multiply: enumerates the C pattern and every scalar task of
-/// C = A * B. Requires a.num_cols() == b.num_rows(). Deterministic.
+/// C = A * B. Requires a.num_cols() == b.num_rows(). Deterministic. Throws
+/// fghp::InfeasibleError (phase "spgemm.tasks") before allocating when the
+/// task count, Σ_k nnz(A(:,k))·nnz(B(k,:)), exceeds the idx_t range.
 TaskGraph build_tasks(const sparse::Csr& a, const sparse::Csr& b);
 
 /// Reference numeric multiply with a dense per-row accumulator, independent

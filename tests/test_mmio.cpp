@@ -274,6 +274,22 @@ TEST(Mmio, RejectsNegativeSizeLine) {
                FormatError);
 }
 
+TEST(Mmio, RejectsSizeLineBeyondIndexRange) {
+  // 2^32 + 1 used to wrap to a 1x1 matrix; 2^31 used to fail later as a
+  // usage error. Both are format errors naming the size line.
+  for (const char* size : {"4294967297 4294967297 1", "2147483648 2 1", "2 2147483648 1",
+                           "2 2 2147483648"}) {
+    try {
+      parse(std::string("%%MatrixMarket matrix coordinate real general\n") + size +
+            "\n1 1 1\n");
+      FAIL() << "expected throw for size line '" << size << "'";
+    } catch (const FormatError& e) {
+      EXPECT_EQ(e.context().line, 2) << size;
+      EXPECT_NE(std::string(e.what()).find("index range"), std::string::npos) << size;
+    }
+  }
+}
+
 TEST(Mmio, FormatErrorCarriesContext) {
   try {
     parse("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 nan\n");
