@@ -278,6 +278,15 @@ TEST(TestSuite, ScaleShrinksProportionally) {
   EXPECT_LT(half.nnz(), full.nnz());
 }
 
+}  // namespace
+
+// gtest names each case after its printed parameter. The default print is a
+// byte dump of the struct, whose std::string members hold heap pointers, so
+// the names would change from run to run; print the matrix name instead.
+void PrintTo(const SuiteEntry& e, std::ostream* os) { *os << '"' << e.name << '"'; }
+
+namespace {
+
 class SuiteFidelity : public ::testing::TestWithParam<SuiteEntry> {};
 
 TEST_P(SuiteFidelity, MatchesTable1Statistics) {

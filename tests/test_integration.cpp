@@ -25,6 +25,12 @@ struct PipelineCase {
   idx_t K;
 };
 
+// Prints the case's fields so gtest's case names do not carry the heap
+// pointer that a byte dump of the std::string member would show.
+void PrintTo(const PipelineCase& tc, std::ostream* os) {
+  *os << '"' << tc.matrix << "\" scale=" << tc.scale << " K=" << tc.K;
+}
+
 class Pipeline : public ::testing::TestWithParam<PipelineCase> {};
 
 TEST_P(Pipeline, AllModelsEndToEnd) {
