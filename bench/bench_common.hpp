@@ -13,10 +13,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <memory>
-#include <sstream>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "comm/volume.hpp"
@@ -27,6 +26,7 @@
 #include "sparse/testsuite.hpp"
 #include "exec/kernels.hpp"
 #include "util/assert.hpp"
+#include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/options.hpp"
 #include "util/perf_counters.hpp"
@@ -60,50 +60,6 @@ inline BenchEnv load_env() {
   if (env.matrices.empty()) env.matrices = sparse::suite_names();
   return env;
 }
-
-/// The CLIs' standard observability flags, for the bench mains: --trace-out
-/// FILE (Chrome trace JSON), --metrics-out FILE|- (flat metrics JSON),
-/// --report-out FILE|- (structured RunReport; implies tracing so the report
-/// has phases) and --perf (hardware counters where the kernel allows).
-/// Construct before the measured work — the RunReport builder baselines the
-/// metrics registry and the clocks — and call finish() once at the end.
-/// Exports are best-effort: finish() reports failures to stderr and returns
-/// 1, which the bench mains fold into their exit code.
-class Observability {
- public:
-  Observability(const ArgParser& args, const std::string& benchName)
-      : traceOut_(args.flag("trace-out").value_or("")),
-        metricsOut_(args.flag("metrics-out").value_or("")),
-        reportOut_(args.flag("report-out").value_or("")) {
-    if (!traceOut_.empty() || !reportOut_.empty()) trace::enable();
-    if (args.has_switch("perf")) perf::set_enabled(true);
-    rep_ = std::make_unique<fghp::report::Builder>(benchName, "bench");
-  }
-
-  /// The run's RunReport builder, for info() / expect_volume() context.
-  fghp::report::Builder& report() { return *rep_; }
-
-  int finish() const {
-    int rc = 0;
-    const auto attempt = [&rc](const auto& fn) {
-      try {
-        fn();
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        rc = 1;
-      }
-    };
-    if (!traceOut_.empty()) attempt([&] { trace::write_chrome_trace_file(traceOut_); });
-    if (!metricsOut_.empty()) attempt([&] { metrics::write_global_json(metricsOut_); });
-    if (!reportOut_.empty())
-      attempt([&] { fghp::report::write_file(rep_->build(), reportOut_); });
-    return rc;
-  }
-
- private:
-  std::string traceOut_, metricsOut_, reportOut_;
-  std::unique_ptr<fghp::report::Builder> rep_;
-};
 
 /// Median of a sample vector (throughput benches report median-of-N so one
 /// descheduled iteration cannot skew the result): middle element for odd
@@ -144,95 +100,82 @@ inline double stream_triad_gbps(std::size_t nDoubles, int reps) {
 }
 
 // ------------------------------------------------------------- JSON ----
-// Minimal JSON emission for the benches' --json flag: a top-level object of
-// scalar fields plus named arrays of flat records. Covers exactly what the
-// table benches write; strings in this codebase (suite names, model names)
-// never need escaping beyond quotes/backslashes.
+// The benches' --json document: a top-level object of scalar fields followed
+// by named arrays of flat records (arrays keep insertion order). Collects
+// typed values, then streams them through json::Writer.
 
 class JsonWriter {
  public:
-  void scalar(const std::string& key, double v) { scalars_.push_back({key, num(v)}); }
-  void scalar(const std::string& key, long long v) {
-    scalars_.push_back({key, std::to_string(v)});
-  }
-  void scalar(const std::string& key, const std::string& v) {
-    scalars_.push_back({key, quote(v)});
+  using Scalar = std::variant<long long, double, std::string>;
+  using Fields = std::vector<std::pair<std::string, Scalar>>;
+
+  template <class T>
+  void scalar(const std::string& key, const T& v) {
+    scalars_.emplace_back(key, to_scalar(v));
   }
 
   class Record {
    public:
-    Record& field(const std::string& key, const std::string& v) { return raw(key, quote(v)); }
-    Record& field(const std::string& key, double v) { return raw(key, num(v)); }
-    Record& field(const std::string& key, long long v) {
-      return raw(key, std::to_string(v));
-    }
-    Record& field(const std::string& key, idx_t v) {
-      return raw(key, std::to_string(static_cast<long long>(v)));
+    template <class T>
+    Record& field(const std::string& key, const T& v) {
+      fields_.emplace_back(key, to_scalar(v));
+      return *this;
     }
 
    private:
     friend class JsonWriter;
-    Record& raw(const std::string& key, std::string v) {
-      fields_.push_back({key, std::move(v)});
-      return *this;
-    }
-    std::vector<std::pair<std::string, std::string>> fields_;
+    Fields fields_;
   };
 
-  /// Appends a record to the array named `key` (arrays keep insertion order).
+  /// Appends a record to the array named `key`.
   Record& add(const std::string& key) {
     if (arrays_.empty() || arrays_.back().first != key) arrays_.push_back({key, {}});
     arrays_.back().second.emplace_back();
     return arrays_.back().second.back();
   }
 
-  /// Writes the document; returns false (after a stderr note) on I/O failure.
+  /// Writes the document ("-" = stdout); returns false (after a stderr note)
+  /// on I/O failure.
   bool write(const std::string& path) const {
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open '%s' for writing\n", path.c_str());
+    try {
+      json::write_output(path, "bench JSON", [this](std::ostream& out) {
+        json::Writer w(out);
+        w.begin_object();
+        write_fields(w, scalars_);
+        for (const auto& [key, records] : arrays_) {
+          w.key(key).begin_array();
+          for (const Record& r : records) {
+            w.begin_object();
+            write_fields(w, r.fields_);
+            w.end_object();
+          }
+          w.end_array();
+        }
+        w.end_object();
+      });
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
       return false;
     }
-    out << "{\n";
-    bool first = true;
-    for (const auto& [key, v] : scalars_) {
-      out << (first ? "" : ",\n") << "  " << quote(key) << ": " << v;
-      first = false;
-    }
-    for (const auto& [key, records] : arrays_) {
-      out << (first ? "" : ",\n") << "  " << quote(key) << ": [\n";
-      first = false;
-      for (std::size_t i = 0; i < records.size(); ++i) {
-        out << "    {";
-        for (std::size_t f = 0; f < records[i].fields_.size(); ++f) {
-          out << (f ? ", " : "") << quote(records[i].fields_[f].first) << ": "
-              << records[i].fields_[f].second;
-        }
-        out << (i + 1 < records.size() ? "},\n" : "}\n");
-      }
-      out << "  ]";
-    }
-    out << "\n}\n";
-    return static_cast<bool>(out);
+    return true;
   }
 
  private:
-  static std::string quote(const std::string& s) {
-    std::string out = "\"";
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    out += '"';
-    return out;
+  template <class T>
+  static Scalar to_scalar(const T& v) {
+    if constexpr (std::is_integral_v<T>)
+      return static_cast<long long>(v);
+    else if constexpr (std::is_floating_point_v<T>)
+      return static_cast<double>(v);
+    else
+      return std::string(v);
   }
-  static std::string num(double v) {
-    std::ostringstream os;
-    os << v;  // default precision; NaN/Inf never reach here
-    return os.str();
+  static void write_fields(json::Writer& w, const Fields& fields) {
+    for (const auto& [key, v] : fields)
+      std::visit([&w, &key](const auto& x) { w.field(key, x); }, v);
   }
 
-  std::vector<std::pair<std::string, std::string>> scalars_;
+  Fields scalars_;
   std::vector<std::pair<std::string, std::vector<Record>>> arrays_;
 };
 

@@ -65,7 +65,7 @@ bool sane(const ParetoPoint& p) {
 int main(int argc, char** argv) {
   using namespace fghp;
   const ArgParser args(argc, argv);
-  bench::Observability obs(args, "bench_pareto");
+  report::Observability obs(args, "bench_pareto", "bench");
   bench::BenchEnv env = bench::load_env();
   if (!env_str("FGHP_K")) env.kValues = {4, 16, 64};
   const double spgemmScale = [&] {

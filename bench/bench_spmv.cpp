@@ -122,7 +122,7 @@ sparse::Csr roofline_matrix(const std::string& name, double scale) {
 int main(int argc, char** argv) {
   using namespace fghp;
   const ArgParser args(argc, argv);
-  bench::Observability obs(args, "bench_spmv");
+  report::Observability obs(args, "bench_spmv", "bench");
   bench::BenchEnv env = bench::load_env();
   if (!env_str("FGHP_MATRICES")) env.matrices = {"sherman3", "ken-11", "cq9"};
   const auto reps = static_cast<int>(env_long("FGHP_REPS", 20));

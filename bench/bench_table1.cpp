@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   using namespace fghp;
   const bench::BenchEnv env = bench::load_env();
   const ArgParser args(argc, argv);
-  bench::Observability obs(args, "bench_table1");
+  report::Observability obs(args, "bench_table1", "bench");
   bench::JsonWriter json;
   json.scalar("table", std::string("table1"));
   json.scalar("scale", env.scale);

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   const bench::BenchEnv env = bench::load_env();
   constexpr Model kModels[] = {Model::kGraph1d, Model::kHypergraph1d, Model::kFineGrain2d};
   const ArgParser args(argc, argv);
-  bench::Observability obs(args, "bench_table2");
+  report::Observability obs(args, "bench_table2", "bench");
   bench::JsonWriter json;
   json.scalar("table", std::string("table2"));
   json.scalar("scale", env.scale);

@@ -73,13 +73,12 @@
 #include "util/cancel.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
-#include "util/metrics.hpp"
+#include "util/json.hpp"
 #include "util/options.hpp"
 #include "util/perf_counters.hpp"
 #include "util/report.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
-#include "util/trace.hpp"
 
 namespace {
 
@@ -256,21 +255,17 @@ int cmd_partition(const ArgParser& args, report::Builder& rep) {
   rep.expect_volume("spmv", s.expandWords, s.foldWords,
                     static_cast<long long>(s.expandMessages) + s.foldMessages);
   if (json) {
-    std::printf("{\"model\":\"%s\",\"method\":\"%s\",\"k\":%d,"
-                "\"partition_seconds\":%.6f,\"total_seconds\":%.6f,"
-                "\"objective\":%lld,\"recoveries\":%d,\"degraded\":%d,"
-                "\"total_volume_words\":%lld,\"max_proc_words\":%lld,"
-                "\"expand_words\":%lld,\"fold_words\":%lld,"
-                "\"avg_messages_per_proc\":%.3f,\"load_imbalance_percent\":%.3f}\n",
-                modelName.c_str(), methodName.c_str(), static_cast<int>(k),
-                run.partitionSeconds, totalTimer.seconds(),
-                static_cast<long long>(run.objective),
-                static_cast<int>(run.numRecoveries), static_cast<int>(run.numDegraded),
-                static_cast<long long>(s.totalWords),
-                static_cast<long long>(s.maxProcWords),
-                static_cast<long long>(s.expandWords),
-                static_cast<long long>(s.foldWords), s.avgMessagesPerProc,
-                loads.percentImbalance);
+    json::Writer w(std::cout);
+    w.begin_object().field("model", modelName).field("method", methodName).field("k", k);
+    w.field("partition_seconds", run.partitionSeconds);
+    w.field("total_seconds", totalTimer.seconds());
+    w.field("objective", run.objective);
+    w.field("recoveries", run.numRecoveries).field("degraded", run.numDegraded);
+    w.field("total_volume_words", s.totalWords).field("max_proc_words", s.maxProcWords);
+    w.field("expand_words", s.expandWords).field("fold_words", s.foldWords);
+    w.field("avg_messages_per_proc", s.avgMessagesPerProc);
+    w.field("load_imbalance_percent", loads.percentImbalance);
+    w.end_object();
   } else {
     std::printf("model=%s method=%s K=%d time=%.3fs total=%.3fs recoveries=%d degraded=%d\n",
                 modelName.c_str(), methodName.c_str(), static_cast<int>(k),
@@ -440,54 +435,16 @@ void print_warnings() {
     std::fprintf(stderr, "warning: %s\n", w.c_str());
 }
 
-/// Writes the requested trace / metrics / report outputs. Returns 0, or the
-/// io exit code if an export failed (reported to stderr either way); callers
-/// on a failing command path ignore it so the typed error code wins.
-int write_observability(const std::string& traceOut, const std::string& metricsOut,
-                        const std::string& reportOut, const report::Builder& rep) {
-  int rc = 0;
-  if (!traceOut.empty()) {
-    try {
-      trace::write_chrome_trace_file(traceOut);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      rc = static_cast<int>(ErrorCode::kIo);
-    }
-  }
-  if (!metricsOut.empty()) {
-    try {
-      metrics::write_global_json(metricsOut);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      rc = static_cast<int>(ErrorCode::kIo);
-    }
-  }
-  if (!reportOut.empty()) {
-    try {
-      report::write_file(rep.build(), reportOut);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      rc = static_cast<int>(ErrorCode::kIo);
-    }
-  }
-  return rc;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const ArgParser args(argc, argv);
   if (args.positional().empty()) return usage();
-  const std::string traceOut = args.flag("trace-out").value_or("");
-  const std::string metricsOut = args.flag("metrics-out").value_or("");
-  const std::string reportOut = args.flag("report-out").value_or("");
-  // A report without phases is useless, so --report-out implies tracing.
-  if (!traceOut.empty() || !reportOut.empty()) trace::enable();
-  if (args.has_switch("perf")) perf::set_enabled(true);
   const std::string& cmd = args.positional().front();
-  // Constructed before any work: the builder baselines the metrics registry
-  // and the clocks, so the report covers exactly this command.
-  report::Builder rep("fghp_tool", cmd);
+  // Constructed before any work: the report builder baselines the metrics
+  // registry and the clocks, so the report covers exactly this command.
+  report::Observability obs(args, "fghp_tool", cmd);
+  report::Builder& rep = obs.report();
   int rc = -1;
   try {
     if (cmd == "gen") rc = cmd_gen(args);
@@ -501,11 +458,11 @@ int main(int argc, char** argv) {
     print_warnings();
     std::fprintf(stderr, "error: %s\n", e.what());
     rep.set_error(e.what());
-    write_observability(traceOut, metricsOut, reportOut, rep);  // typed error wins
+    obs.finish();  // typed error wins
     return fghp::exit_code(e);
   }
   print_warnings();
-  const int obsRc = write_observability(traceOut, metricsOut, reportOut, rep);
+  const int obsRc = obs.finish();
   if (rc == -1) return usage();
   return rc == 0 && obsRc != 0 ? obsRc : rc;
 }

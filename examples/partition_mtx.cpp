@@ -35,11 +35,9 @@
 #include "sparse/stats.hpp"
 #include "util/cancel.hpp"
 #include "util/error.hpp"
-#include "util/metrics.hpp"
 #include "util/options.hpp"
 #include "util/perf_counters.hpp"
 #include "util/report.hpp"
-#include "util/trace.hpp"
 
 namespace {
 
@@ -136,38 +134,6 @@ void print_warnings() {
     std::fprintf(stderr, "warning: %s\n", w.c_str());
 }
 
-/// Best-effort exports; returns the io exit code on failure so a successful
-/// run can still report it (a failing run's typed code wins instead).
-int write_observability(const std::string& traceOut, const std::string& metricsOut,
-                        const std::string& reportOut, const report::Builder& rep) {
-  int rc = 0;
-  if (!traceOut.empty()) {
-    try {
-      trace::write_chrome_trace_file(traceOut);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      rc = static_cast<int>(ErrorCode::kIo);
-    }
-  }
-  if (!metricsOut.empty()) {
-    try {
-      metrics::write_global_json(metricsOut);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      rc = static_cast<int>(ErrorCode::kIo);
-    }
-  }
-  if (!reportOut.empty()) {
-    try {
-      report::write_file(rep.build(), reportOut);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      rc = static_cast<int>(ErrorCode::kIo);
-    }
-  }
-  return rc;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -182,12 +148,8 @@ int main(int argc, char** argv) {
                  "       [--report-out report.json|-] [--perf]\n");
     return 2;
   }
-  const std::string traceOut = args.flag("trace-out").value_or("");
-  const std::string metricsOut = args.flag("metrics-out").value_or("");
-  const std::string reportOut = args.flag("report-out").value_or("");
-  if (!traceOut.empty() || !reportOut.empty()) trace::enable();
-  if (args.has_switch("perf")) fghp::perf::set_enabled(true);
-  fghp::report::Builder rep("partition_mtx", "partition");
+  fghp::report::Observability obs(args, "partition_mtx", "partition");
+  fghp::report::Builder& rep = obs.report();
 
   int rc;
   try {
@@ -196,10 +158,10 @@ int main(int argc, char** argv) {
     print_warnings();
     std::fprintf(stderr, "error: %s\n", e.what());
     rep.set_error(e.what());
-    write_observability(traceOut, metricsOut, reportOut, rep);  // typed error wins
+    obs.finish();  // typed error wins
     return fghp::exit_code(e);
   }
   print_warnings();
-  const int obsRc = write_observability(traceOut, metricsOut, reportOut, rep);
+  const int obsRc = obs.finish();
   return rc == 0 && obsRc != 0 ? obsRc : rc;
 }

@@ -30,7 +30,7 @@ echo "--- Address/UB sanitizers: Matrix Market reader + compiled image ---"
 cmake -B build-asan -G Ninja -DFGHP_SANITIZE=address,undefined \
       -DFGHP_BUILD_BENCH=OFF -DFGHP_BUILD_EXAMPLES=ON > /dev/null
 cmake --build build-asan --target test_mmio test_sparse test_fault test_errors \
-      test_compiled test_spgemm fghp_tool
+      test_compiled test_spgemm test_report fghp_tool
 ./build-asan/tests/test_mmio
 ./build-asan/tests/test_sparse
 ./build-asan/tests/test_fault
@@ -42,6 +42,9 @@ cmake --build build-asan --target test_mmio test_sparse test_fault test_errors \
 # Schedule lowering for the two-input workload, and the 64-bit task count
 # refused before any task array is sized.
 ./build-asan/tests/test_spgemm
+# RunReport build/serialize/render, and the JSON reader fed malformed
+# documents (deep nesting, bad escapes, bad numbers).
+./build-asan/tests/test_report
 
 echo "--- fault-injection sweep (ASan/UBSan) ---"
 # Inject every registered fault site once into a real partition->simulate
@@ -179,7 +182,7 @@ for f in partition_trace simulate_trace metrics; do
     echo "trace smoke FAILED: $f.json is not valid JSON"; exit 1; }
 done
 for f in partition_trace simulate_trace; do
-  spans=$(grep -c '"ph":"X"' "$ttmp/$f.json" || true)
+  spans=$(grep -c '"ph": "X"' "$ttmp/$f.json" || true)
   if [ "${spans:-0}" -eq 0 ]; then
     echo "trace smoke FAILED: $f.json contains no spans"; exit 1
   fi
@@ -231,6 +234,21 @@ print(f'  volume audit: {audit["iterations"]} iterations, expand '
 PY
 "$rtool" report "$rtmp/simulate_report.json" | grep -q "RunReport v1" || {
   echo "report smoke FAILED: 'fghp_tool report' did not render"; exit 1; }
+# Malformed reports must fail as a format error (exit 4) under ASan/UBSan:
+# never a crash, a usage error, or a silently accepted prefix.
+head -c 200000 /dev/zero | tr '\0' '[' > "$rtmp/deep.json"
+printf '{"a":"\\uZZZZ"}' > "$rtmp/bad_escape.json"
+printf '{"run_report_version":1-2}' > "$rtmp/bad_number.json"
+for f in deep bad_escape bad_number; do
+  rc=0
+  ./build-asan/examples/fghp_tool report "$rtmp/$f.json" > /dev/null 2> "$rtmp/err.txt" \
+    || rc=$?
+  if [ "$rc" -ne 4 ]; then
+    echo "report smoke FAILED: malformed $f.json exited $rc, expected 4"
+    cat "$rtmp/err.txt"; exit 1
+  fi
+  echo "  malformed $f.json -> exit 4: $(cat "$rtmp/err.txt")"
+done
 rm -rf "$rtmp"
 
 echo "--- FGHP_PERF=OFF build: counters compiled out, results identical ---"
@@ -262,11 +280,12 @@ FGHP_SCALE=0.15 ./build/bench/bench_ablation_checkerboard
 echo "--- perf smoke: compiled SpMV session ---"
 # One small matrix through bench_spmv's throughput and roofline sections.
 # Catches gross perf breakage (a dead or mis-lowered compiled image reports
-# zero/NaN throughput); the JSON stays in build/ for comparison against the
+# zero/NaN throughput; the JSON writer turns NaN/Inf into null, so the grep
+# rejects all three); the JSON stays in build/ for comparison against the
 # committed BENCH_spmv.json trajectory.
 FGHP_MATRICES=sherman3 FGHP_SCALE=0.05 FGHP_K=16 FGHP_REPS=5 FGHP_STREAM_MB=16 \
     ./build/bench/bench_spmv --json build/bench_spmv_smoke.json
-if grep -qiE 'nan|inf' build/bench_spmv_smoke.json; then
+if grep -qiE 'nan|inf|null' build/bench_spmv_smoke.json; then
   echo "perf smoke FAILED: non-finite value in build/bench_spmv_smoke.json"
   exit 1
 fi
@@ -311,7 +330,7 @@ echo "--- perf smoke: SpGEMM through the generic core ---"
 # JSON stays in build/ for comparison against the committed BENCH_spgemm.json.
 FGHP_MATRICES=sherman3 FGHP_SCALE=0.15 FGHP_K=8 FGHP_REPS=5 \
     ./build/bench/bench_spgemm --json build/bench_spgemm_smoke.json
-if grep -qiE 'nan|inf' build/bench_spgemm_smoke.json; then
+if grep -qiE 'nan|inf|null' build/bench_spgemm_smoke.json; then
   echo "perf smoke FAILED: non-finite value in build/bench_spgemm_smoke.json"
   exit 1
 fi
@@ -340,7 +359,8 @@ smoke = json.load(open("build/bench_pareto_smoke.json"),
                       f"perf smoke FAILED: non-finite value {c} in JSON"))
 for run in smoke["runs"]:
     for key, val in run.items():
-        if isinstance(val, float) and not math.isfinite(val):
+        # non-finite values are written as null
+        if val is None or (isinstance(val, float) and not math.isfinite(val)):
             sys.exit(f"perf smoke FAILED: non-finite {key} in run {run}")
 speedup = smoke.get("headline_speedup", 0.0)
 matrix = smoke.get("headline_matrix", "?")

@@ -1,14 +1,10 @@
 #include "util/metrics.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <iostream>
 #include <map>
-#include <ostream>
-#include <sstream>
 
 #include "util/assert.hpp"
-#include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace fghp::metrics {
 
@@ -63,23 +59,6 @@ Histogram& Registry::histogram(const std::string& name, std::vector<std::int64_t
   return *histograms_.back().metric;
 }
 
-namespace {
-
-void json_string(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\')
-      out << '\\' << c;
-    else if (static_cast<unsigned char>(c) < 0x20)
-      out << ' ';
-    else
-      out << c;
-  }
-  out << '"';
-}
-
-}  // namespace
-
 Snapshot Registry::snapshot() const {
   Snapshot snap;
   std::lock_guard<std::mutex> lk(mu_);
@@ -97,44 +76,33 @@ Snapshot Registry::snapshot() const {
   return snap;
 }
 
-void Registry::write_json(std::ostream& out) const {
-  // Copy name -> value snapshots under the lock, then format sorted.
-  const Snapshot snap = snapshot();
-  const auto& counters = snap.counters;
-  const auto& gauges = snap.gauges;
-  const auto& hists = snap.histograms;
+void write_json(json::Writer& w, const Snapshot& snap) {
+  w.begin_object();
+  w.key("counters").begin_object();
+  for (const auto& [name, v] : snap.counters) w.field(name, v);
+  w.end_object();
+  w.key("gauges").begin_object();
+  for (const auto& [name, v] : snap.gauges) w.field(name, v);
+  w.end_object();
+  w.key("histograms").begin_object();
+  for (const auto& [name, h] : snap.histograms) {
+    w.key(name).begin_object();
+    w.key("bounds").begin_array();
+    for (const std::int64_t b : h.bounds) w.value(b);
+    w.end_array();
+    w.key("counts").begin_array();
+    for (const std::int64_t c : h.counts) w.value(c);
+    w.end_array();
+    w.field("count", h.count).field("sum", h.sum);
+    w.end_object();
+  }
+  w.end_object();
+  w.end_object();
+}
 
-  out << "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, v] : counters) {
-    out << (first ? "\n    " : ",\n    ");
-    first = false;
-    json_string(out, name);
-    out << ": " << v;
-  }
-  out << "\n  },\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, v] : gauges) {
-    out << (first ? "\n    " : ",\n    ");
-    first = false;
-    json_string(out, name);
-    out << ": " << v;
-  }
-  out << "\n  },\n  \"histograms\": {";
-  first = true;
-  for (const auto& [name, s] : hists) {
-    out << (first ? "\n    " : ",\n    ");
-    first = false;
-    json_string(out, name);
-    out << ": {\"bounds\": [";
-    for (std::size_t i = 0; i < s.bounds.size(); ++i)
-      out << (i ? "," : "") << s.bounds[i];
-    out << "], \"counts\": [";
-    for (std::size_t i = 0; i < s.counts.size(); ++i)
-      out << (i ? "," : "") << s.counts[i];
-    out << "], \"count\": " << s.count << ", \"sum\": " << s.sum << '}';
-  }
-  out << "\n  }\n}\n";
+void Registry::write_json(std::ostream& out) const {
+  json::Writer w(out);
+  metrics::write_json(w, snapshot());
 }
 
 void Registry::reset() {
@@ -150,18 +118,8 @@ Registry& Registry::global() {
 }
 
 void write_global_json(const std::string& pathOrDash) {
-  if (pathOrDash == "-") {
-    Registry::global().write_json(std::cout);
-    std::cout.flush();
-    return;
-  }
-  std::ofstream out(pathOrDash);
-  if (!out)
-    throw IoError("cannot open metrics file for writing: " + pathOrDash,
-                  at_path(pathOrDash));
-  Registry::global().write_json(out);
-  out.flush();
-  if (!out) throw IoError("metrics write failed: " + pathOrDash, at_path(pathOrDash));
+  json::write_output(pathOrDash, "metrics",
+                     [](std::ostream& out) { Registry::global().write_json(out); });
 }
 
 }  // namespace fghp::metrics

@@ -29,6 +29,10 @@
 #include <string>
 #include <vector>
 
+namespace fghp::json {
+class Writer;
+}
+
 namespace fghp::metrics {
 
 /// Monotonic counter (resettable for test isolation).
@@ -107,9 +111,7 @@ class Registry {
   /// Copies every metric's current value (one lock, values relaxed-read).
   Snapshot snapshot() const;
 
-  /// Flat JSON: {"counters":{...},"gauges":{...},"histograms":{...}}.
-  /// Metrics appear sorted by name; histograms serialize bounds, per-bucket
-  /// counts, total count and sum.
+  /// The snapshot as one JSON document (metrics::write_json below).
   void write_json(std::ostream& out) const;
 
   /// Zeroes every metric, keeping registrations (references stay valid).
@@ -130,6 +132,12 @@ class Registry {
   std::vector<Named<Gauge>> gauges_;
   std::vector<Named<Histogram>> histograms_;
 };
+
+/// Writes `snap` as one JSON object {"counters":{...},"gauges":{...},
+/// "histograms":{...}}, metrics sorted by name, each histogram as its bounds,
+/// per-bucket counts, total count and sum — the --metrics-out document and
+/// the RunReport's "metrics" section.
+void write_json(json::Writer& w, const Snapshot& snap);
 
 /// Shorthands for the global registry.
 inline Counter& counter(const std::string& name) {

@@ -1,15 +1,15 @@
 #include "util/report.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <fstream>
-#include <iostream>
 #include <limits>
 #include <ostream>
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
+#include "util/options.hpp"
 #include "util/perf_counters.hpp"
 #include "util/table.hpp"
 #include "util/trace.hpp"
@@ -72,36 +72,6 @@ long long delta_counter(const metrics::Snapshot& cur, const metrics::Snapshot& b
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-// ----------------------------------------------------------- JSON out ----
-
-void json_string(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-      out << buf;
-    } else {
-      out << c;
-    }
-  }
-  out << '"';
-}
-
-std::string jnum(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.10g", v);
-  // JSON has no NaN/Inf literals; clamp to null-safe 0 (never produced by a
-  // healthy run, but a report writer must not emit an unparseable file).
-  for (const char* p = buf; *p != '\0'; ++p) {
-    if (std::isalpha(static_cast<unsigned char>(*p)) && *p != 'e' && *p != 'E')
-      return "0";
-  }
-  return buf;
 }
 
 }  // namespace
@@ -302,319 +272,113 @@ RunReport Builder::build() const {
 // --------------------------------------------------------------- writer ----
 
 void write_json(const RunReport& r, std::ostream& out) {
-  out << "{\n  \"run_report_version\": " << r.version << ",\n  \"tool\": ";
-  json_string(out, r.tool);
-  out << ",\n  \"command\": ";
-  json_string(out, r.command);
-  out << ",\n  \"status\": ";
-  json_string(out, r.status);
-  out << ",\n  \"error\": ";
-  json_string(out, r.error);
-  out << ",\n  \"wall_ms\": " << jnum(r.wallMs) << ",\n  \"cpu_ms\": " << jnum(r.cpuMs);
+  json::Writer w(out);
+  w.begin_object();
+  w.field("run_report_version", r.version);
+  w.field("tool", r.tool).field("command", r.command);
+  w.field("status", r.status).field("error", r.error);
+  w.field("wall_ms", r.wallMs).field("cpu_ms", r.cpuMs);
 
-  out << ",\n  \"info\": {";
-  bool first = true;
-  for (const auto& [k, v] : r.info) {
-    out << (first ? "\n    " : ",\n    ");
-    first = false;
-    json_string(out, k);
-    out << ": ";
-    json_string(out, v);
-  }
-  out << (first ? "}" : "\n  }");
+  w.key("info").begin_object();
+  for (const auto& [k, v] : r.info) w.field(k, v);
+  w.end_object();
 
-  out << ",\n  \"trace\": {\"enabled\": " << (r.traceEnabled ? "true" : "false")
-      << ", \"events\": " << r.traceEvents << ", \"dropped\": " << r.traceDropped
-      << "}";
+  w.key("trace").begin_object();
+  w.field("enabled", r.traceEnabled).field("events", r.traceEvents);
+  w.field("dropped", r.traceDropped);
+  w.end_object();
 
-  out << ",\n  \"phases\": [";
-  for (std::size_t i = 0; i < r.phases.size(); ++i) {
-    const PhaseStat& p = r.phases[i];
-    out << (i == 0 ? "\n    " : ",\n    ") << "{\"name\": ";
-    json_string(out, p.name);
-    out << ", \"spans\": " << p.spans << ", \"workers\": " << p.workers
-        << ", \"wall_ms\": " << jnum(p.wallMs) << ", \"busy_ms\": " << jnum(p.busyMs)
-        << ", \"critical_path_ms\": " << jnum(p.criticalPathMs)
-        << ", \"parallel_efficiency\": " << jnum(p.parallelEfficiency) << "}";
+  w.key("phases").begin_array();
+  for (const PhaseStat& p : r.phases) {
+    w.begin_object();
+    w.field("name", p.name).field("spans", p.spans).field("workers", p.workers);
+    w.field("wall_ms", p.wallMs).field("busy_ms", p.busyMs);
+    w.field("critical_path_ms", p.criticalPathMs);
+    w.field("parallel_efficiency", p.parallelEfficiency);
+    w.end_object();
   }
-  out << (r.phases.empty() ? "]" : "\n  ]");
+  w.end_array();
 
-  out << ",\n  \"workers\": [";
-  for (std::size_t i = 0; i < r.workers.size(); ++i) {
-    const WorkerStat& w = r.workers[i];
-    out << (i == 0 ? "\n    " : ",\n    ") << "{\"tid\": " << w.tid
-        << ", \"busy_ms\": " << jnum(w.busyMs)
-        << ", \"utilization\": " << jnum(w.utilization) << "}";
+  w.key("workers").begin_array();
+  for (const WorkerStat& wk : r.workers) {
+    w.begin_object();
+    w.field("tid", wk.tid).field("busy_ms", wk.busyMs).field("utilization", wk.utilization);
+    w.end_object();
   }
-  out << (r.workers.empty() ? "]" : "\n  ]");
+  w.end_array();
 
-  out << ",\n  \"perf\": {\"compiled_in\": " << (r.perf.compiledIn ? "true" : "false")
-      << ", \"enabled\": " << (r.perf.enabled ? "true" : "false")
-      << ", \"available\": " << (r.perf.available ? "true" : "false")
-      << ", \"cycles\": " << r.perf.cycles
-      << ", \"instructions\": " << r.perf.instructions
-      << ", \"llc_misses\": " << r.perf.llcMisses
-      << ", \"branch_misses\": " << r.perf.branchMisses << "}";
+  w.key("perf").begin_object();
+  w.field("compiled_in", r.perf.compiledIn).field("enabled", r.perf.enabled);
+  w.field("available", r.perf.available).field("cycles", r.perf.cycles);
+  w.field("instructions", r.perf.instructions).field("llc_misses", r.perf.llcMisses);
+  w.field("branch_misses", r.perf.branchMisses);
+  w.end_object();
 
-  out << ",\n  \"volume_audit\": {\"present\": " << (r.audit.present ? "true" : "false");
-  if (r.audit.present) {
-    out << ", \"metric_prefix\": ";
-    json_string(out, r.audit.metricPrefix);
-    out << ", \"iterations\": " << r.audit.iterations
-        << ", \"modeled_expand_words\": " << r.audit.modeledExpandWords
-        << ", \"modeled_fold_words\": " << r.audit.modeledFoldWords
-        << ", \"modeled_messages\": " << r.audit.modeledMessages
-        << ", \"measured_expand_words\": " << r.audit.measuredExpandWords
-        << ", \"measured_fold_words\": " << r.audit.measuredFoldWords
-        << ", \"measured_messages\": " << r.audit.measuredMessages
-        << ", \"matches\": " << (r.audit.matches ? "true" : "false");
+  const VolumeAudit& a = r.audit;
+  w.key("volume_audit").begin_object().field("present", a.present);
+  if (a.present) {
+    w.field("metric_prefix", a.metricPrefix).field("iterations", a.iterations);
+    w.field("modeled_expand_words", a.modeledExpandWords);
+    w.field("modeled_fold_words", a.modeledFoldWords);
+    w.field("modeled_messages", a.modeledMessages);
+    w.field("measured_expand_words", a.measuredExpandWords);
+    w.field("measured_fold_words", a.measuredFoldWords);
+    w.field("measured_messages", a.measuredMessages);
+    w.field("matches", a.matches);
   }
-  out << "}";
+  w.end_object();
 
-  out << ",\n  \"proc_comm\": {\"present\": " << (r.comm.present ? "true" : "false");
-  if (r.comm.present) {
-    out << ", \"total_words\": " << r.comm.totalWords
-        << ", \"max_proc_words\": " << r.comm.maxProcWords
-        << ", \"avg_proc_words\": " << jnum(r.comm.avgProcWords)
-        << ", \"imbalance_percent\": " << jnum(r.comm.imbalancePercent)
-        << ", \"send_words\": [";
-    for (std::size_t i = 0; i < r.comm.sendWords.size(); ++i)
-      out << (i ? "," : "") << r.comm.sendWords[i];
-    out << "], \"recv_words\": [";
-    for (std::size_t i = 0; i < r.comm.recvWords.size(); ++i)
-      out << (i ? "," : "") << r.comm.recvWords[i];
-    out << "]";
+  const ProcCommStat& c = r.comm;
+  w.key("proc_comm").begin_object().field("present", c.present);
+  if (c.present) {
+    w.field("total_words", c.totalWords).field("max_proc_words", c.maxProcWords);
+    w.field("avg_proc_words", c.avgProcWords);
+    w.field("imbalance_percent", c.imbalancePercent);
+    w.key("send_words").begin_array();
+    for (const long long x : c.sendWords) w.value(x);
+    w.end_array();
+    w.key("recv_words").begin_array();
+    for (const long long x : c.recvWords) w.value(x);
+    w.end_array();
   }
-  out << "}";
+  w.end_object();
 
-  out << ",\n  \"metrics\": {\n    \"counters\": {";
-  first = true;
-  for (const auto& [name, v] : r.metricsDelta.counters) {
-    out << (first ? "\n      " : ",\n      ");
-    first = false;
-    json_string(out, name);
-    out << ": " << v;
-  }
-  out << (first ? "}" : "\n    }") << ",\n    \"gauges\": {";
-  first = true;
-  for (const auto& [name, v] : r.metricsDelta.gauges) {
-    out << (first ? "\n      " : ",\n      ");
-    first = false;
-    json_string(out, name);
-    out << ": " << v;
-  }
-  out << (first ? "}" : "\n    }") << ",\n    \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : r.metricsDelta.histograms) {
-    out << (first ? "\n      " : ",\n      ");
-    first = false;
-    json_string(out, name);
-    out << ": {\"bounds\": [";
-    for (std::size_t i = 0; i < h.bounds.size(); ++i)
-      out << (i ? "," : "") << h.bounds[i];
-    out << "], \"counts\": [";
-    for (std::size_t i = 0; i < h.counts.size(); ++i)
-      out << (i ? "," : "") << h.counts[i];
-    out << "], \"count\": " << h.count << ", \"sum\": " << h.sum << "}";
-  }
-  out << (first ? "}" : "\n    }") << "\n  }\n}\n";
+  w.key("metrics");
+  metrics::write_json(w, r.metricsDelta);
+  w.end_object();
 }
 
 void write_file(const RunReport& r, const std::string& pathOrDash) {
-  if (pathOrDash == "-") {
-    write_json(r, std::cout);
-    std::cout.flush();
-    return;
-  }
-  std::ofstream out(pathOrDash);
-  if (!out)
-    throw IoError("cannot open report file for writing: " + pathOrDash,
-                  at_path(pathOrDash));
-  write_json(r, out);
-  out.flush();
-  if (!out) throw IoError("report write failed: " + pathOrDash, at_path(pathOrDash));
+  json::write_output(pathOrDash, "report",
+                     [&r](std::ostream& out) { write_json(r, out); });
 }
 
-// --------------------------------------------------------------- parser ----
-
-namespace jv {
-
-bool Value::has(const std::string& key) const {
-  return type == Type::kObject && object.count(key) > 0;
+Observability::Observability(const ArgParser& args, std::string tool,
+                             std::string command)
+    : traceOut_(args.flag("trace-out").value_or("")),
+      metricsOut_(args.flag("metrics-out").value_or("")),
+      reportOut_(args.flag("report-out").value_or("")),
+      builder_(std::move(tool), std::move(command)) {
+  if (!traceOut_.empty() || !reportOut_.empty()) trace::enable();
+  if (args.has_switch("perf")) perf::set_enabled(true);
 }
 
-const Value& Value::at(const std::string& key) const {
-  if (type != Type::kObject) throw FormatError("JSON: member access on a non-object");
-  const auto it = object.find(key);
-  if (it == object.end()) throw FormatError("JSON: missing member '" + key + "'");
-  return it->second;
-}
-
-namespace {
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : s_(text) {}
-
-  Value parse_document() {
-    Value v = parse_value();
-    skip_ws();
-    if (pos_ != s_.size()) throw FormatError("JSON: trailing characters");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw FormatError("JSON: " + what + " at offset " + std::to_string(pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' || s_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  char peek() {
-    if (pos_ >= s_.size()) fail("unexpected end of input");
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume_lit(const char* lit) {
-    const std::size_t n = std::string(lit).size();
-    if (s_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-
-  Value parse_value() {
-    skip_ws();
-    const char c = peek();
-    Value v;
-    if (c == '{') {
-      v.type = Value::Type::kObject;
-      ++pos_;
-      skip_ws();
-      if (peek() == '}') {
-        ++pos_;
-        return v;
-      }
-      for (;;) {
-        skip_ws();
-        std::string key = parse_string();
-        skip_ws();
-        expect(':');
-        v.object[std::move(key)] = parse_value();
-        skip_ws();
-        if (peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        expect('}');
-        return v;
-      }
-    }
-    if (c == '[') {
-      v.type = Value::Type::kArray;
-      ++pos_;
-      skip_ws();
-      if (peek() == ']') {
-        ++pos_;
-        return v;
-      }
-      for (;;) {
-        v.array.push_back(parse_value());
-        skip_ws();
-        if (peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        expect(']');
-        return v;
-      }
-    }
-    if (c == '"') {
-      v.type = Value::Type::kString;
-      v.str = parse_string();
-      return v;
-    }
-    if (consume_lit("true")) {
-      v.type = Value::Type::kBool;
-      v.boolean = true;
-      return v;
-    }
-    if (consume_lit("false")) {
-      v.type = Value::Type::kBool;
-      v.boolean = false;
-      return v;
-    }
-    if (consume_lit("null")) return v;
-    // number
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) || s_[pos_] == '-' ||
-            s_[pos_] == '+' || s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E'))
-      ++pos_;
-    if (pos_ == start) fail("unexpected character");
+int Observability::finish() const {
+  int rc = 0;
+  const auto attempt = [&rc](const std::string& path, const auto& write) {
+    if (path.empty()) return;
     try {
-      v.number = std::stod(s_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
-      fail("malformed number");
+      write(path);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      rc = static_cast<int>(ErrorCode::kIo);
     }
-    v.type = Value::Type::kNumber;
-    return v;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= s_.size()) fail("unterminated string");
-      const char c = s_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= s_.size()) fail("unterminated escape");
-      const char e = s_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
-          const unsigned code =
-              static_cast<unsigned>(std::stoul(s_.substr(pos_, 4), nullptr, 16));
-          pos_ += 4;
-          // Our own writers only escape control characters; anything in the
-          // BMP below 0x80 round-trips, the rest degrades to '?'.
-          out += code < 0x80 ? static_cast<char>(code) : '?';
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-Value parse(const std::string& text) { return Parser(text).parse_document(); }
-
-}  // namespace jv
+  };
+  attempt(traceOut_, trace::write_chrome_trace_file);
+  attempt(metricsOut_, metrics::write_global_json);
+  attempt(reportOut_, [this](const std::string& path) { write_file(builder_.build(), path); });
+  return rc;
+}
 
 // -------------------------------------------------------------- renderer ----
 
@@ -633,7 +397,7 @@ void render_file(const std::string& path, std::ostream& out) {
   if (!in) throw IoError("cannot open report file: " + path, at_path(path));
   std::ostringstream buf;
   buf << in.rdbuf();
-  const jv::Value doc = jv::parse(buf.str());
+  const json::Value doc = json::parse(buf.str());
 
   const long long version = doc.at("run_report_version").as_int();
   out << "RunReport v" << version << ": " << doc.at("tool").str << " "
@@ -651,16 +415,16 @@ void render_file(const std::string& path, std::ostream& out) {
     for (const auto& [k, v] : doc.at("info").object) out << " " << k << "=" << v.str;
     out << "\n";
   }
-  const jv::Value& tr = doc.at("trace");
+  const json::Value& tr = doc.at("trace");
   out << "  trace: " << (tr.at("enabled").boolean ? "enabled" : "disabled") << ", "
       << tr.at("events").as_int() << " events, " << tr.at("dropped").as_int()
       << " dropped\n";
 
-  const jv::Value& phases = doc.at("phases");
+  const json::Value& phases = doc.at("phases");
   if (!phases.array.empty()) {
     out << "\nphases (wall / busy / critical path, parallel efficiency):\n";
     Table t({"phase", "spans", "workers", "wall ms", "busy ms", "crit ms", "eff"});
-    for (const jv::Value& p : phases.array) {
+    for (const json::Value& p : phases.array) {
       t.add_row({p.at("name").str, Table::num(p.at("spans").as_int()),
                  Table::num(p.at("workers").as_int()),
                  Table::num(p.at("wall_ms").number, 3),
@@ -671,18 +435,18 @@ void render_file(const std::string& path, std::ostream& out) {
     out << t.to_string();
   }
 
-  const jv::Value& workers = doc.at("workers");
+  const json::Value& workers = doc.at("workers");
   if (!workers.array.empty()) {
     out << "\nworkers:\n";
     Table t({"tid", "busy ms", "utilization"});
-    for (const jv::Value& w : workers.array) {
+    for (const json::Value& w : workers.array) {
       t.add_row({Table::num(w.at("tid").as_int()), Table::num(w.at("busy_ms").number, 3),
                  pct(w.at("utilization").number)});
     }
     out << t.to_string();
   }
 
-  const jv::Value& perf = doc.at("perf");
+  const json::Value& perf = doc.at("perf");
   out << "\nperf counters: ";
   if (!perf.at("compiled_in").boolean) {
     out << "compiled out (FGHP_PERF=OFF)\n";
@@ -702,7 +466,7 @@ void render_file(const std::string& path, std::ostream& out) {
     out << line;
   }
 
-  const jv::Value& audit = doc.at("volume_audit");
+  const json::Value& audit = doc.at("volume_audit");
   if (audit.at("present").boolean) {
     out << "volume audit [" << audit.at("metric_prefix").str << "]: "
         << (audit.at("matches").boolean ? "MATCH" : "MISMATCH") << " — "
@@ -717,7 +481,7 @@ void render_file(const std::string& path, std::ostream& out) {
     out << "volume audit: not armed\n";
   }
 
-  const jv::Value& comm = doc.at("proc_comm");
+  const json::Value& comm = doc.at("proc_comm");
   if (comm.at("present").boolean) {
     char line[192];
     std::snprintf(line, sizeof line,
@@ -729,7 +493,7 @@ void render_file(const std::string& path, std::ostream& out) {
     out << line;
   }
 
-  const jv::Value& metrics = doc.at("metrics");
+  const json::Value& metrics = doc.at("metrics");
   out << "metrics: " << metrics.at("counters").object.size() << " counters, "
       << metrics.at("gauges").object.size() << " gauges, "
       << metrics.at("histograms").object.size()

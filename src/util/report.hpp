@@ -35,6 +35,10 @@
 
 #include "util/metrics.hpp"
 
+namespace fghp {
+class ArgParser;
+}
+
 namespace fghp::report {
 
 inline constexpr int kRunReportVersion = 1;
@@ -177,30 +181,27 @@ void write_file(const RunReport& r, const std::string& pathOrDash);
 /// `fghp_tool report` subcommand). Throws IoError / FormatError.
 void render_file(const std::string& path, std::ostream& out);
 
-// ------------------------------------------------------------------------
-// Minimal generic JSON value + recursive-descent parser: enough to read back
-// our own documents (reports, metrics, traces) for rendering and tests.
-// Numbers are doubles; objects are name-sorted maps.
-namespace jv {
+/// The standard observability flags of the CLIs and benches: --trace-out
+/// FILE|- (Chrome trace JSON), --metrics-out FILE|- (metrics JSON),
+/// --report-out FILE|- (this RunReport; implies tracing so the report has
+/// phases) and --perf (hardware counters where the kernel allows).
+/// Construct before the measured work — the Builder baselines the metrics
+/// registry and the clocks — and call finish() once at the end, on the
+/// failure path too (after report().set_error()).
+class Observability {
+ public:
+  Observability(const ArgParser& args, std::string tool, std::string command);
 
-struct Value {
-  enum class Type { kNull, kBool, kNumber, kString, kObject, kArray };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::map<std::string, Value> object;
-  std::vector<Value> array;
+  /// The run's RunReport builder, for info() / expect_volume() context.
+  Builder& report() { return builder_; }
 
-  bool has(const std::string& key) const;
-  /// Member access; throws FormatError when absent or not an object.
-  const Value& at(const std::string& key) const;
-  long long as_int() const { return static_cast<long long>(number); }
+  /// Writes every requested output. Each failure goes to stderr and the
+  /// result is the io exit code (3); 0 when everything was written.
+  int finish() const;
+
+ private:
+  std::string traceOut_, metricsOut_, reportOut_;
+  Builder builder_;
 };
-
-/// Parses one JSON document. Throws FormatError on malformed input.
-Value parse(const std::string& text);
-
-}  // namespace jv
 
 }  // namespace fghp::report

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <vector>
 
-#include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/options.hpp"
 
 namespace fghp::trace {
@@ -143,54 +140,6 @@ struct EnvInit {
   }
 };
 const EnvInit g_envInit;
-
-void json_escape(std::ostream& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-      out << buf;
-    } else {
-      out << c;
-    }
-  }
-}
-
-void write_us(std::ostream& out, std::uint64_t ns) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%llu.%03u",
-                static_cast<unsigned long long>(ns / 1000),
-                static_cast<unsigned>(ns % 1000));
-  out << buf;
-}
-
-void write_args(std::ostream& out, const Event& e, bool withValue) {
-  out << "\"args\":{";
-  bool first = true;
-  if (withValue) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", e.value);
-    out << "\"value\":" << buf;
-    first = false;
-  }
-  if (e.k0 != nullptr) {
-    if (!first) out << ',';
-    out << '"';
-    json_escape(out, e.k0);
-    out << "\":" << e.v0;
-    first = false;
-  }
-  if (e.k1 != nullptr) {
-    if (!first) out << ',';
-    out << '"';
-    json_escape(out, e.k1);
-    out << "\":" << e.v1;
-  }
-  out << '}';
-}
 
 }  // namespace
 
@@ -360,53 +309,31 @@ void write_chrome_trace(std::ostream& out) {
   const std::vector<EventView> views = snapshot_events();
   const std::uint64_t dropped = dropped_count();
 
-  out << "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"droppedEvents\":" << dropped
-      << "},\"traceEvents\":[";
-  bool first = true;
+  json::Writer w(out);
+  w.begin_object().field("displayTimeUnit", "ms");
+  w.key("otherData").begin_object().field("droppedEvents", dropped).end_object();
+  w.key("traceEvents").begin_array();
   for (const EventView& v : views) {
-    Event e;  // reuse the arg formatter, which reads the internal type
-    e.start = v.startNs;
-    e.dur = v.durNs;
-    e.cat = v.cat;
-    e.name = v.name;
-    e.k0 = v.k0;
-    e.k1 = v.k1;
-    e.v0 = v.v0;
-    e.v1 = v.v1;
-    e.value = v.value;
-    e.kind = v.kind;
-    if (!first) out << ',';
-    first = false;
-    out << "\n{\"ph\":\"";
-    switch (e.kind) {
-      case Kind::kSpan: out << 'X'; break;
-      case Kind::kInstant: out << 'i'; break;
-      case Kind::kCounter: out << 'C'; break;
-    }
-    out << "\",\"cat\":\"";
-    json_escape(out, e.cat != nullptr ? e.cat : "");
-    out << "\",\"name\":\"";
-    json_escape(out, e.name != nullptr ? e.name : "");
-    out << "\",\"pid\":1,\"tid\":" << v.tid << ",\"ts\":";
-    write_us(out, e.start);
-    if (e.kind == Kind::kSpan) {
-      out << ",\"dur\":";
-      write_us(out, e.dur);
-    }
-    if (e.kind == Kind::kInstant) out << ",\"s\":\"t\"";
-    out << ',';
-    write_args(out, e, e.kind == Kind::kCounter);
-    out << '}';
+    const char* ph = v.kind == Kind::kSpan ? "X" : v.kind == Kind::kInstant ? "i" : "C";
+    w.begin_object().field("ph", ph);
+    w.field("cat", v.cat != nullptr ? v.cat : "");
+    w.field("name", v.name != nullptr ? v.name : "");
+    w.field("pid", 1).field("tid", v.tid);
+    w.key("ts").thousandths(v.startNs);
+    if (v.kind == Kind::kSpan) w.key("dur").thousandths(v.durNs);
+    if (v.kind == Kind::kInstant) w.field("s", "t");
+    w.key("args").begin_object();
+    if (v.kind == Kind::kCounter) w.field("value", v.value);
+    if (v.k0 != nullptr) w.field(v.k0, v.v0);
+    if (v.k1 != nullptr) w.field(v.k1, v.v1);
+    w.end_object().end_object();
   }
-  out << "\n]}\n";
+  w.end_array().end_object();
 }
 
-void write_chrome_trace_file(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw IoError("cannot open trace file for writing: " + path, at_path(path));
-  write_chrome_trace(out);
-  out.flush();
-  if (!out) throw IoError("trace write failed: " + path, at_path(path));
+void write_chrome_trace_file(const std::string& pathOrDash) {
+  json::write_output(pathOrDash, "trace",
+                     [](std::ostream& out) { write_chrome_trace(out); });
 }
 
 ScopedCapture::ScopedCapture(std::string path) : path_(std::move(path)) {

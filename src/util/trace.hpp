@@ -213,8 +213,9 @@ class TraceScope {
 /// microseconds as the format requires.
 void write_chrome_trace(std::ostream& out);
 
-/// Same, to a file. Throws IoError if the file cannot be written.
-void write_chrome_trace_file(const std::string& path);
+/// Same, to a file — or stdout when the path is "-". Throws IoError if the
+/// file cannot be written.
+void write_chrome_trace_file(const std::string& pathOrDash);
 
 /// Captures one region into a trace file: enables tracing on construction
 /// (remembering whether it was already on) and writes `path` on destruction,

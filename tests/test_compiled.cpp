@@ -5,10 +5,6 @@
 // suite.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "comm/volume.hpp"
 #include "models/checkerboard.hpp"
 #include "models/finegrain.hpp"
@@ -23,29 +19,9 @@
 #include "util/fault.hpp"
 #include "util/rng.hpp"
 
-// ---------------------------------------------------------------------------
 // Global allocation counter: the session-reuse test asserts that iterations
-// after the first perform zero heap allocations on the serial path. Counting
-// every operator new in the binary is crude but exact — the measured window
-// contains nothing but ExecSession::run.
-namespace {
-std::atomic<long> g_allocCount{0};
-}
-
-void* operator new(std::size_t sz) {
-  g_allocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(sz ? sz : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t sz) {
-  g_allocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(sz ? sz : 1)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// after the first perform zero heap allocations on the serial path.
+#include "counting_alloc.hpp"
 
 namespace fghp::spmv {
 namespace {

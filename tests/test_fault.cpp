@@ -29,6 +29,7 @@
 #include "spmv/reference.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
+#include "util/json.hpp"
 #include "util/perf_counters.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -377,13 +378,12 @@ std::string trigger_and_export(const std::function<void()>& op) {
   return os.str();
 }
 
-/// Counts instant events for `site` by the exporter's fixed field order.
-int count_site_instants(const std::string& json, const std::string& site) {
-  const std::string needle = "\"cat\":\"fault\",\"name\":\"" + site + "\"";
+/// Counts the "fault" events named `site` in an exported trace.
+int count_site_instants(const std::string& exported, const std::string& site) {
+  const json::Value doc = json::parse(exported);
   int n = 0;
-  for (std::size_t pos = json.find(needle); pos != std::string::npos;
-       pos = json.find(needle, pos + needle.size()))
-    ++n;
+  for (const json::Value& e : doc.at("traceEvents").array)
+    n += e.at("cat").str == "fault" && e.at("name").str == site ? 1 : 0;
   return n;
 }
 

@@ -21,6 +21,7 @@
 #include "sparse/testsuite.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
+#include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/perf_counters.hpp"
 #include "util/report.hpp"
@@ -262,21 +263,21 @@ TEST(RunReport, JsonRoundTrip) {
   std::ostringstream os;
   report::write_json(r, os);
 
-  const report::jv::Value doc = report::jv::parse(os.str());
+  const json::Value doc = json::parse(os.str());
   EXPECT_EQ(doc.at("run_report_version").as_int(), report::kRunReportVersion);
   EXPECT_EQ(doc.at("tool").str, "test_report");
   EXPECT_EQ(doc.at("command").str, "roundtrip");
   EXPECT_EQ(doc.at("status").str, "ok");
   EXPECT_EQ(doc.at("info").at("k").str, "7");
   EXPECT_EQ(doc.at("perf").at("compiled_in").boolean, perf::compiled_in());
-  const report::jv::Value& audit = doc.at("volume_audit");
+  const json::Value& audit = doc.at("volume_audit");
   EXPECT_TRUE(audit.at("present").boolean);
   EXPECT_EQ(audit.at("modeled_expand_words").as_int(), 11);
   // No executor ran since the builder was created: 0 iterations, and the
   // audit holds trivially (0 == modeled * 0).
   EXPECT_EQ(audit.at("iterations").as_int(), 0);
   EXPECT_TRUE(audit.at("matches").boolean);
-  const report::jv::Value& comm = doc.at("proc_comm");
+  const json::Value& comm = doc.at("proc_comm");
   EXPECT_EQ(comm.at("total_words").as_int(), 8);
   EXPECT_EQ(comm.at("max_proc_words").as_int(), 8);
 }
@@ -296,14 +297,63 @@ TEST(RunReport, WriteFileAndRenderFile) {
 
 TEST(RunReport, RenderFileRejectsMalformedJson) {
   const std::string path = ::testing::TempDir() + "fghp_test_report_bad.json";
-  {
-    std::ofstream f(path);
-    f << "{ not json";
+  // Each must be a FormatError: no crash (200 000 '[' once overflowed the
+  // parser's stack), no usage error (a bad unicode escape once surfaced as
+  // std::invalid_argument), no prefix read (1-2 once read as 1).
+  const std::vector<std::string> bad = {
+      "{ not json",
+      std::string(200000, '['),
+      R"({"a":"\uZZZZ"})",
+      R"({"run_report_version":1-2})",
+      "01",
+      "1.",
+      "-",
+      R"("\u12)",
+  };
+  for (const std::string& text : bad) {
+    {
+      std::ofstream f(path);
+      f << text;
+    }
+    std::ostringstream out;
+    EXPECT_THROW(report::render_file(path, out), FormatError) << text.substr(0, 40);
   }
   std::ostringstream out;
-  EXPECT_THROW(report::render_file(path, out), FormatError);
   EXPECT_THROW(report::render_file(path + ".missing", out), IoError);
   std::remove(path.c_str());
+}
+
+TEST(RunReport, MutatedReportsParseOrFailAsFormatError) {
+  // Seeded byte edits of a real report: the reader either accepts the
+  // result or throws FormatError — any other exception fails the test, and
+  // under the sanitizers so does any out-of-bounds read.
+  report::Builder rep("test_report", "fuzz");
+  rep.expect_volume("spmv", 1, 2, 3);
+  rep.set_proc_comm({3, 5}, {5, 3});
+  std::ostringstream os;
+  report::write_json(rep.build(), os);
+  const std::string seed = os.str();
+  const std::string alphabet = "{}[]\",:\\-+.0123456789eEtrufalsn \n\x01\xff";
+  Rng rng(2024);
+  int rejected = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string text = seed;
+    for (auto edits = 1 + rng.next_below(4); edits > 0; --edits) {
+      const std::size_t at = rng.next_below(text.size());
+      const char c = alphabet[rng.next_below(alphabet.size())];
+      switch (rng.next_below(3)) {
+        case 0: text[at] = c; break;
+        case 1: text.insert(at, 1, c); break;
+        default: text.erase(at, 1 + rng.next_below(8)); break;
+      }
+    }
+    try {
+      json::parse(text);
+    } catch (const FormatError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 1000);
 }
 
 // ------------------------------------------------ watchdog attribution ----

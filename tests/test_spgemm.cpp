@@ -7,10 +7,7 @@
 // workload-agnostic core that runs SpMV.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 
 #include "exec/schedule.hpp"
 #include "spgemm/finegrain.hpp"
@@ -25,48 +22,10 @@
 #include "util/fault.hpp"
 #include "util/rng.hpp"
 
-// Global allocation counter for the zero-allocation test (same crude-but-
-// exact device as test_compiled.cpp; the measured window contains nothing
-// but SpgemmSession::run), plus the largest single request, for the test
-// that an oversized task count is refused before allocating.
-namespace {
-std::atomic<long> g_allocCount{0};
-std::atomic<std::size_t> g_largestAlloc{0};
-
-void note_alloc(std::size_t sz) {
-  g_allocCount.fetch_add(1, std::memory_order_relaxed);
-  std::size_t prev = g_largestAlloc.load(std::memory_order_relaxed);
-  while (sz > prev && !g_largestAlloc.compare_exchange_weak(prev, sz)) {
-  }
-}
-}  // namespace
-
-void* operator new(std::size_t sz) {
-  note_alloc(sz);
-  if (void* p = std::malloc(sz ? sz : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t sz) {
-  note_alloc(sz);
-  if (void* p = std::malloc(sz ? sz : 1)) return p;
-  throw std::bad_alloc();
-}
-// The nothrow forms too (std::stable_sort's temporary buffer uses them), so
-// every allocation form pairs with a free()-based delete.
-void* operator new(std::size_t sz, const std::nothrow_t&) noexcept {
-  note_alloc(sz);
-  return std::malloc(sz ? sz : 1);
-}
-void* operator new[](std::size_t sz, const std::nothrow_t&) noexcept {
-  note_alloc(sz);
-  return std::malloc(sz ? sz : 1);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+// Global allocation counter for the zero-allocation test, plus the largest
+// single request, for the test that an oversized task count is refused
+// before allocating.
+#include "counting_alloc.hpp"
 
 namespace fghp::spgemm {
 namespace {

@@ -1,21 +1,16 @@
 // Tracing & metrics layer tests: span nesting across thread counts, ring
 // overflow (drops-oldest with an exact drop count), Chrome trace-event JSON
-// round-trip through a minimal parser, the disabled-mode guarantees (records
+// round-trip through json::parse, the disabled-mode guarantees (records
 // nothing, allocates nothing), the phase-timer adapter, ScopedCapture, the
 // metrics registry JSON, and partition bit-identity with tracing on/off.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
-#include <new>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,221 +19,22 @@
 #include "partition/hg/partitioner.hpp"
 #include "partition/phase_timers.hpp"
 #include "sparse/generators.hpp"
+#include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
 
-// ---------------------------------------------------------------------------
-// Global allocation counter (same technique as test_compiled): the disabled-
-// mode test asserts that an untraced instrumentation site performs zero heap
-// allocations.
-namespace {
-std::atomic<long> g_allocCount{0};
-}
-
-void* operator new(std::size_t sz) {
-  g_allocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(sz ? sz : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t sz) {
-  g_allocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(sz ? sz : 1)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Global allocation counter: the disabled-mode test asserts that an
+// untraced instrumentation site performs zero heap allocations.
+#include "counting_alloc.hpp"
 
 namespace fghp {
 namespace {
 
-// ------------------------------------------------ minimal JSON parser ----
-// Just enough JSON to round-trip the exporters' output: objects, arrays,
-// strings with the escapes the writer emits, and doubles. Throws
-// std::runtime_error on malformed input so a bad export fails the test.
-
-struct JVal {
-  enum Kind { kNull, kBool, kNum, kStr, kArr, kObj };
-  Kind kind = kNull;
-  bool boolean = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<JVal> arr;
-  std::map<std::string, JVal> obj;
-
-  const JVal& at(const std::string& key) const {
-    const auto it = obj.find(key);
-    if (it == obj.end()) throw std::runtime_error("missing key: " + key);
-    return it->second;
-  }
-  bool has(const std::string& key) const { return obj.count(key) != 0; }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string text) : s_(std::move(text)) {}
-
-  JVal parse() {
-    JVal v = value();
-    skip_ws();
-    if (pos_ != s_.size()) throw std::runtime_error("trailing JSON content");
-    return v;
-  }
-
- private:
-  std::string s_;
-  std::size_t pos_ = 0;
-
-  [[noreturn]] void fail(const std::string& what) {
-    throw std::runtime_error(what + " at offset " + std::to_string(pos_));
-  }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' || s_[pos_] == '\r'))
-      ++pos_;
-  }
-  char peek() {
-    if (pos_ >= s_.size()) fail("unexpected end of input");
-    return s_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  JVal value() {
-    skip_ws();
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': {
-        JVal v;
-        v.kind = JVal::kStr;
-        v.str = string();
-        return v;
-      }
-      case 't':
-      case 'f': return boolean();
-      case 'n': {
-        literal("null");
-        return JVal{};
-      }
-      default: return number();
-    }
-  }
-
-  void literal(const char* lit) {
-    for (const char* c = lit; *c != '\0'; ++c) expect(*c);
-  }
-
-  JVal boolean() {
-    JVal v;
-    v.kind = JVal::kBool;
-    if (peek() == 't') {
-      literal("true");
-      v.boolean = true;
-    } else {
-      literal("false");
-    }
-    return v;
-  }
-
-  JVal number() {
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) || s_[pos_] == '-' ||
-            s_[pos_] == '+' || s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E'))
-      ++pos_;
-    if (pos_ == start) fail("invalid JSON value");
-    JVal v;
-    v.kind = JVal::kNum;
-    v.num = std::stod(s_.substr(start, pos_ - start));
-    return v;
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (peek() != '"') {
-      char c = s_[pos_++];
-      if (c == '\\') {
-        const char esc = peek();
-        ++pos_;
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
-            out += static_cast<char>(std::stoi(s_.substr(pos_, 4), nullptr, 16));
-            pos_ += 4;
-            break;
-          }
-          default: fail("unsupported escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  JVal object() {
-    expect('{');
-    JVal v;
-    v.kind = JVal::kObj;
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      std::string key = string();
-      skip_ws();
-      expect(':');
-      v.obj.emplace(std::move(key), value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  JVal array() {
-    expect('[');
-    JVal v;
-    v.kind = JVal::kArr;
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.arr.push_back(value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-};
-
 /// Exports the current trace and parses it back.
-JVal export_and_parse() {
+json::Value export_and_parse() {
   std::ostringstream os;
   trace::write_chrome_trace(os);
-  return JsonParser(os.str()).parse();
+  return json::parse(os.str());
 }
 
 /// RAII guard: every test leaves tracing disabled and empty. The explicit
@@ -255,8 +51,8 @@ struct TraceSandbox {
   }
 };
 
-const JVal* find_event(const JVal& doc, const std::string& name) {
-  for (const JVal& e : doc.at("traceEvents").arr)
+const json::Value* find_event(const json::Value& doc, const std::string& name) {
+  for (const json::Value& e : doc.at("traceEvents").array)
     if (e.at("name").str == name) return &e;
   return nullptr;
 }
@@ -271,31 +67,31 @@ TEST(ChromeTrace, RoundTripSpanInstantCounter) {
   trace::instant("cat.inst", "a.instant", "ord", 42);
   trace::counter("cat.ctr", "a.counter", 12.5, "proc", 2);
 
-  const JVal doc = export_and_parse();
-  EXPECT_EQ(doc.at("otherData").at("droppedEvents").num, 0.0);
-  ASSERT_EQ(doc.at("traceEvents").arr.size(), 3u);
+  const json::Value doc = export_and_parse();
+  EXPECT_EQ(doc.at("otherData").at("droppedEvents").number, 0.0);
+  ASSERT_EQ(doc.at("traceEvents").array.size(), 3u);
 
-  const JVal* span = find_event(doc, "a.span");
+  const json::Value* span = find_event(doc, "a.span");
   ASSERT_NE(span, nullptr);
   EXPECT_EQ(span->at("ph").str, "X");
   EXPECT_EQ(span->at("cat").str, "cat.span");
-  EXPECT_EQ(span->at("pid").num, 1.0);
-  EXPECT_NEAR(span->at("dur").num, 2.5, 1e-9);  // 2500 ns in microseconds
-  EXPECT_EQ(span->at("args").at("k0").num, 7.0);
-  EXPECT_EQ(span->at("args").at("k1").num, -3.0);
+  EXPECT_EQ(span->at("pid").number, 1.0);
+  EXPECT_NEAR(span->at("dur").number, 2.5, 1e-9);  // 2500 ns in microseconds
+  EXPECT_EQ(span->at("args").at("k0").number, 7.0);
+  EXPECT_EQ(span->at("args").at("k1").number, -3.0);
 
-  const JVal* inst = find_event(doc, "a.instant");
+  const json::Value* inst = find_event(doc, "a.instant");
   ASSERT_NE(inst, nullptr);
   EXPECT_EQ(inst->at("ph").str, "i");
   EXPECT_EQ(inst->at("s").str, "t");
-  EXPECT_EQ(inst->at("args").at("ord").num, 42.0);
-  EXPECT_FALSE(inst->has("dur"));
+  EXPECT_EQ(inst->at("args").at("ord").number, 42.0);
+  EXPECT_EQ(inst->object.count("dur"), 0u);
 
-  const JVal* ctr = find_event(doc, "a.counter");
+  const json::Value* ctr = find_event(doc, "a.counter");
   ASSERT_NE(ctr, nullptr);
   EXPECT_EQ(ctr->at("ph").str, "C");
-  EXPECT_EQ(ctr->at("args").at("value").num, 12.5);
-  EXPECT_EQ(ctr->at("args").at("proc").num, 2.0);
+  EXPECT_EQ(ctr->at("args").at("value").number, 12.5);
+  EXPECT_EQ(ctr->at("args").at("proc").number, 2.0);
 }
 
 // ---------------------------------------------------------- span nesting ----
@@ -310,20 +106,20 @@ TEST(TraceSpans, NestedScopesContainedSingleThread) {
     }
   }
 
-  const JVal doc = export_and_parse();
-  const JVal* outer = find_event(doc, "outer");
-  const JVal* mid = find_event(doc, "mid");
-  const JVal* inner = find_event(doc, "inner");
+  const json::Value doc = export_and_parse();
+  const json::Value* outer = find_event(doc, "outer");
+  const json::Value* mid = find_event(doc, "mid");
+  const json::Value* inner = find_event(doc, "inner");
   ASSERT_NE(outer, nullptr);
   ASSERT_NE(mid, nullptr);
   ASSERT_NE(inner, nullptr);
 
-  EXPECT_EQ(outer->at("tid").num, mid->at("tid").num);
-  EXPECT_EQ(mid->at("tid").num, inner->at("tid").num);
+  EXPECT_EQ(outer->at("tid").number, mid->at("tid").number);
+  EXPECT_EQ(mid->at("tid").number, inner->at("tid").number);
 
-  auto contains = [](const JVal& a, const JVal& b) {  // a contains b
-    return a.at("ts").num <= b.at("ts").num &&
-           b.at("ts").num + b.at("dur").num <= a.at("ts").num + a.at("dur").num;
+  auto contains = [](const json::Value& a, const json::Value& b) {  // a contains b
+    return a.at("ts").number <= b.at("ts").number &&
+           b.at("ts").number + b.at("dur").number <= a.at("ts").number + a.at("dur").number;
   };
   EXPECT_TRUE(contains(*outer, *mid));
   EXPECT_TRUE(contains(*mid, *inner));
@@ -344,10 +140,10 @@ TEST_P(TraceSpansMt, PerThreadNestingAndDistinctTids) {
   }
   for (auto& th : pool) th.join();
 
-  const JVal doc = export_and_parse();
-  std::map<int, const JVal*> outers, inners;
-  for (const JVal& e : doc.at("traceEvents").arr) {
-    const int tix = static_cast<int>(e.at("args").at("tix").num);
+  const json::Value doc = export_and_parse();
+  std::map<int, const json::Value*> outers, inners;
+  for (const json::Value& e : doc.at("traceEvents").array) {
+    const int tix = static_cast<int>(e.at("args").at("tix").number);
     if (e.at("name").str == "mt.outer") outers[tix] = &e;
     if (e.at("name").str == "mt.inner") inners[tix] = &e;
   }
@@ -356,13 +152,13 @@ TEST_P(TraceSpansMt, PerThreadNestingAndDistinctTids) {
 
   std::vector<double> tids;
   for (const auto& [tix, outer] : outers) {
-    const JVal* inner = inners.at(tix);
+    const json::Value* inner = inners.at(tix);
     // Same thread recorded both; the inner scope is contained in the outer.
-    EXPECT_EQ(outer->at("tid").num, inner->at("tid").num);
-    EXPECT_LE(outer->at("ts").num, inner->at("ts").num);
-    EXPECT_LE(inner->at("ts").num + inner->at("dur").num,
-              outer->at("ts").num + outer->at("dur").num);
-    tids.push_back(outer->at("tid").num);
+    EXPECT_EQ(outer->at("tid").number, inner->at("tid").number);
+    EXPECT_LE(outer->at("ts").number, inner->at("ts").number);
+    EXPECT_LE(inner->at("ts").number + inner->at("dur").number,
+              outer->at("ts").number + outer->at("dur").number);
+    tids.push_back(outer->at("tid").number);
   }
   std::sort(tids.begin(), tids.end());
   EXPECT_EQ(std::unique(tids.begin(), tids.end()), tids.end())
@@ -381,13 +177,13 @@ TEST(TraceRing, OverflowDropsOldestAndCountsDrops) {
   EXPECT_EQ(trace::event_count(), 16u);
   EXPECT_EQ(trace::dropped_count(), 24u);
 
-  const JVal doc = export_and_parse();
-  EXPECT_EQ(doc.at("otherData").at("droppedEvents").num, 24.0);
-  const auto& events = doc.at("traceEvents").arr;
+  const json::Value doc = export_and_parse();
+  EXPECT_EQ(doc.at("otherData").at("droppedEvents").number, 24.0);
+  const auto& events = doc.at("traceEvents").array;
   ASSERT_EQ(events.size(), 16u);
   // The survivors are exactly the newest 16, still in emission order.
   for (std::size_t k = 0; k < events.size(); ++k)
-    EXPECT_EQ(events[k].at("args").at("i").num, static_cast<double>(24 + k));
+    EXPECT_EQ(events[k].at("args").at("i").number, static_cast<double>(24 + k));
 }
 
 // -------------------------------------------------------- disabled mode ----
@@ -424,14 +220,14 @@ TEST(PhaseTimers, ScopedPhaseFeedsTimersAndTrace) {
   EXPECT_GT(delta[part::Phase::kCoarsen], 0.0);
   EXPECT_EQ(delta[part::Phase::kInitial], 0.0);
 
-  const JVal doc = export_and_parse();
-  const JVal* span = find_event(doc, "coarsen");
+  const json::Value doc = export_and_parse();
+  const json::Value* span = find_event(doc, "coarsen");
   ASSERT_NE(span, nullptr);
   EXPECT_EQ(span->at("cat").str, "rb.phase");
-  EXPECT_EQ(span->at("args").at("level").num, 3.0);
+  EXPECT_EQ(span->at("args").at("level").number, 3.0);
   // Both views read the same clock pair: the span duration (us) matches the
   // accumulated phase seconds.
-  EXPECT_NEAR(span->at("dur").num * 1e-6, delta[part::Phase::kCoarsen],
+  EXPECT_NEAR(span->at("dur").number * 1e-6, delta[part::Phase::kCoarsen],
               delta[part::Phase::kCoarsen] * 0.01 + 1e-9);
 }
 
@@ -459,10 +255,10 @@ TEST(ScopedCapture, WritesPipelineTraceAndRestoresState) {
   ASSERT_TRUE(in.good());
   std::stringstream buf;
   buf << in.rdbuf();
-  const JVal doc = JsonParser(buf.str()).parse();
+  const json::Value doc = json::parse(buf.str());
 
   std::map<std::string, int> byName;
-  for (const JVal& e : doc.at("traceEvents").arr) ++byName[e.at("name").str];
+  for (const json::Value& e : doc.at("traceEvents").array) ++byName[e.at("name").str];
   EXPECT_GT(byName["hg.partition"], 0);
   EXPECT_GT(byName["rb.node"], 0);
   EXPECT_GT(byName["coarsen"], 0) << "phase spans missing";
@@ -484,18 +280,18 @@ TEST(Metrics, RegistryJsonRoundTrip) {
 
   std::ostringstream os;
   reg.write_json(os);
-  const JVal doc = JsonParser(os.str()).parse();
+  const json::Value doc = json::parse(os.str());
 
-  EXPECT_EQ(doc.at("counters").at("a.count").num, 7.0);
-  EXPECT_EQ(doc.at("gauges").at("b.gauge").num, -17.0);
-  const JVal& hist = doc.at("histograms").at("c.hist");
-  ASSERT_EQ(hist.at("bounds").arr.size(), 2u);
-  ASSERT_EQ(hist.at("counts").arr.size(), 3u);
-  EXPECT_EQ(hist.at("counts").arr[0].num, 1.0);
-  EXPECT_EQ(hist.at("counts").arr[1].num, 1.0);
-  EXPECT_EQ(hist.at("counts").arr[2].num, 1.0);
-  EXPECT_EQ(hist.at("count").num, 3.0);
-  EXPECT_EQ(hist.at("sum").num, 5055.0);
+  EXPECT_EQ(doc.at("counters").at("a.count").number, 7.0);
+  EXPECT_EQ(doc.at("gauges").at("b.gauge").number, -17.0);
+  const json::Value& hist = doc.at("histograms").at("c.hist");
+  ASSERT_EQ(hist.at("bounds").array.size(), 2u);
+  ASSERT_EQ(hist.at("counts").array.size(), 3u);
+  EXPECT_EQ(hist.at("counts").array[0].number, 1.0);
+  EXPECT_EQ(hist.at("counts").array[1].number, 1.0);
+  EXPECT_EQ(hist.at("counts").array[2].number, 1.0);
+  EXPECT_EQ(hist.at("count").number, 3.0);
+  EXPECT_EQ(hist.at("sum").number, 5055.0);
 
   reg.reset();
   EXPECT_EQ(reg.counter("a.count").value(), 0);

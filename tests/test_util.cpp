@@ -1,14 +1,19 @@
 // Unit tests for util: rng, bucket queue, sparse accumulator, table,
-// options.
+// options, the JSON codec.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <numeric>
 #include <set>
+#include <sstream>
 
 #include "util/bucket_queue.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/options.hpp"
 #include "util/thread_pool.hpp"
 #include "util/rng.hpp"
@@ -488,6 +493,127 @@ TEST(TaskGroup, ReusableAfterFailure) {
   group.run([&ran] { ran.fetch_add(1); });
   EXPECT_NO_THROW(group.wait());  // error list was swapped out, not sticky
   EXPECT_EQ(ran.load(), 1);
+}
+
+// ---------------------------------------------------------------- JSON ----
+
+/// Writes `v` as a one-value document and parses it back.
+template <class T>
+json::Value round_trip(const T& v) {
+  std::ostringstream os;
+  json::Writer(os).value(v);
+  return json::parse(os.str());
+}
+
+TEST(Json, RoundTripsEveryEscapedByteInKeysAndValues) {
+  std::string special;
+  for (int c = 0x01; c < 0x20; ++c) special += static_cast<char>(c);
+  special += "\"\\";
+  std::ostringstream os;
+  json::Writer w(os);
+  w.begin_object().field(special, special).key("each").begin_array();
+  for (const char c : special) w.value(std::string(1, c));
+  w.end_array().end_object();
+  for (const char c : os.str())
+    EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20) << int(c);
+
+  const json::Value doc = json::parse(os.str());
+  EXPECT_EQ(doc.at(special).str, special);
+  const auto& each = doc.at("each").array;
+  ASSERT_EQ(each.size(), special.size());
+  for (std::size_t i = 0; i < special.size(); ++i)
+    EXPECT_EQ(each[i].str, std::string(1, special[i]));
+}
+
+TEST(Json, DoublesRoundTripBitExact) {
+  for (const double x : {0.1, 1e-300, 1.7976931348623157e308, -0.0}) {
+    const json::Value v = round_trip(x);
+    ASSERT_EQ(v.type, json::Value::Type::kNumber) << x;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(v.number), std::bit_cast<std::uint64_t>(x))
+        << x;
+  }
+}
+
+TEST(Json, Int64RoundTripsExactly) {
+  const std::int64_t x = (std::int64_t{1} << 53) + 1;  // not a double
+  const json::Value v = round_trip(x);
+  EXPECT_EQ(v.integer, x);
+  EXPECT_EQ(round_trip(std::numeric_limits<std::int64_t>::min()).integer,
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(round_trip(std::numeric_limits<std::uint64_t>::max()).number, 0x1p64);
+}
+
+TEST(Json, SeededRandomScalarsRoundTrip) {
+  // Random bytes 0x01-0xff, random double bit patterns (subnormals, NaNs
+  // and infinities included) and random int64s through the writer and back.
+  Rng rng(7);
+  for (int trial = 0; trial < 5000; ++trial) {
+    std::string s(rng.next_below(12), ' ');
+    for (char& c : s) c = static_cast<char>(1 + rng.next_below(255));
+    const double d = std::bit_cast<double>(rng.next());
+    const auto n = static_cast<std::int64_t>(rng.next());
+    std::ostringstream os;
+    json::Writer(os).begin_array().value(s).value(d).value(n).end_array();
+    const json::Value v = json::parse(os.str());
+    ASSERT_EQ(v.array.size(), 3u);
+    EXPECT_EQ(v.array[0].str, s);
+    if (std::isfinite(d))
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(v.array[1].number),
+                std::bit_cast<std::uint64_t>(d)) << os.str();
+    else
+      EXPECT_EQ(v.array[1].type, json::Value::Type::kNull);
+    EXPECT_EQ(v.array[2].integer, n);
+  }
+}
+
+TEST(Json, NonFiniteDoublesWriteNull) {
+  for (const double x : {std::nan(""), HUGE_VAL, -HUGE_VAL})
+    EXPECT_EQ(round_trip(x).type, json::Value::Type::kNull) << x;
+}
+
+TEST(Json, ThousandthsWriteExactDecimals) {
+  std::ostringstream os;
+  json::Writer w(os);
+  w.begin_array().thousandths(12345).thousandths(7).thousandths(0).end_array();
+  EXPECT_EQ(os.str(), "[12.345, 0.007, 0.000]\n");
+}
+
+TEST(Json, LayoutKeepsEachKeyWithItsScalar) {
+  std::ostringstream os;
+  json::Writer w(os);
+  w.begin_object().field("a", 1).key("b").begin_array().value(2).value(3).end_array();
+  w.key("c").begin_array().begin_object().field("d", "x").end_object().end_array();
+  w.key("e").begin_object().end_object().end_object();
+  EXPECT_EQ(os.str(),
+            "{\n  \"a\": 1,\n  \"b\": [2, 3],\n  \"c\": [\n    {\n      \"d\": \"x\"\n"
+            "    }\n  ],\n  \"e\": {}\n}\n");
+}
+
+TEST(Json, NestingIsCappedAtMaxDepth) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW(json::parse(nested(json::kMaxDepth)));
+  EXPECT_THROW(json::parse(nested(json::kMaxDepth + 1)), FormatError);
+}
+
+TEST(Json, MalformedInputIsAFormatError) {
+  for (const char* text :
+       {"", "{ not json", R"({"a":"\uZZZZ"})", R"({"run_report_version":1-2})", "01",
+        "1.", "-", "+1", ".5", "1e", "1e+", R"("\u12)", R"("\x")", "\"a\tb\"",
+        "[1,]", "{\"a\" 1}", "{\"a\":1,}", "tru", "nul", "1e400", "[1] 2"}) {
+    EXPECT_THROW(json::parse(text), FormatError) << text;
+  }
+  EXPECT_THROW(json::parse(std::string(200000, '[')), FormatError);
+}
+
+TEST(Json, NumberGrammarAccepted) {
+  EXPECT_EQ(json::parse("-0").number, 0.0);
+  EXPECT_EQ(json::parse("1E+2").number, 100.0);
+  EXPECT_EQ(json::parse("2.5e-1").number, 0.25);
+  EXPECT_EQ(json::parse(" 42 ").integer, 42);
+  EXPECT_EQ(json::parse("1.9").integer, 1);  // non-integer text: truncated
 }
 
 }  // namespace
