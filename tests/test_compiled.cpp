@@ -5,6 +5,8 @@
 // suite.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "comm/volume.hpp"
 #include "models/checkerboard.hpp"
 #include "models/finegrain.hpp"
@@ -18,6 +20,8 @@
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
+
+#include "exec_ledger.hpp"
 
 // Global allocation counter: the session-reuse test asserts that iterations
 // after the first perform zero heap allocations on the serial path.
@@ -403,6 +407,23 @@ TEST(ExecStatsProperty, BothExecutorsMatchAnalyzerOnEverySuiteMatrix) {
     for (std::size_t i = 0; i < yRef.size(); ++i)
       EXPECT_NEAR(ySerial[i], yRef[i], 1e-9 * (1.0 + std::abs(yRef[i]))) << name;
   }
+}
+
+TEST(ExecLedger, SpmvRunMtChargesEachCompletedIterationOnce) {
+  const sparse::Csr a = sparse::random_square(130, 5, 51);
+  const auto d = random_decomposition(a, 6, 52);
+  const SpmvPlan plan = build_plan(a, d);
+  const comm::CommStats cs = comm::analyze(a, d);
+  const auto x = random_x(a.num_cols(), 53);
+  ledger::expect_ledger(
+      "spmv", d.numProcs,
+      {cs.expandWords, cs.foldWords, cs.expandMessages + cs.foldMessages}, [&] {
+        auto session = std::make_shared<ExecSession>(plan);
+        auto y = std::make_shared<std::vector<double>>();
+        return ledger::RunMt([=, &x](idx_t threads, ExecStats* stats) {
+          session->run_mt(x, *y, threads, stats);
+        });
+      });
 }
 
 }  // namespace

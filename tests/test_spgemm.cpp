@@ -7,7 +7,10 @@
 // workload-agnostic core that runs SpMV.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <memory>
+#include <span>
 
 #include "exec/schedule.hpp"
 #include "spgemm/finegrain.hpp"
@@ -21,6 +24,8 @@
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
+
+#include "exec_ledger.hpp"
 
 // Global allocation counter for the zero-allocation test, plus the largest
 // single request, for the test that an oversized task count is refused
@@ -310,6 +315,24 @@ TEST(SpgemmFault, TaskRetryRecoversBitIdentically) {
     EXPECT_TRUE(stats.serialFallback);
     EXPECT_EQ(0, std::memcmp(c.data(), cSerial.data(), c.size() * sizeof(double)));
   }
+}
+
+TEST(ExecLedger, SpgemmRunMtChargesEachCompletedIterationOnce) {
+  const Fixture f(23, 64, 4);
+  const SpgemmDecomposition d = random_decomposition(f.t, 4, 47);
+  const SpgemmCommStats cs = analyze(f.t, d);
+  const exec::Schedule s = build_schedule(f.t, d);
+  const std::array<std::span<const double>, 2> ins{std::span<const double>(f.a.values()),
+                                                   std::span<const double>(f.b.values())};
+  ledger::expect_ledger(
+      "spgemm", d.numProcs,
+      {cs.expandAWords + cs.expandBWords, cs.foldCWords, cs.totalMessages}, [&] {
+        auto session = std::make_shared<exec::Session>(s);
+        auto c = std::make_shared<std::vector<double>>();
+        return ledger::RunMt([=, &ins](idx_t threads, exec::ExecStats* stats) {
+          session->run_mt(ins, *c, threads, stats);
+        });
+      });
 }
 
 }  // namespace
