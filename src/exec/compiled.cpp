@@ -496,17 +496,32 @@ void Session::note_iteration(std::uint64_t startNs, const perf::Sample& perfBegi
   mPerfBranchMisses_->add(static_cast<std::int64_t>(d.branchMisses));
 }
 
+void Session::charge_iteration(ExecStats* stats, idx_t taskRetries,
+                               bool serialFallback) {
+  weight_t expandWords = 0;
+  for (const InSpaceImage& im : c_.in) expandWords += im.sendOff.back();
+  const weight_t foldWords = c_.out.sendOff.back();
+  const idx_t messages = c_.total_messages();
+  mIterations_->add();
+  mExpandWords_->add(expandWords);
+  mFoldWords_->add(foldWords);
+  mMessages_->add(messages);
+  if (stats != nullptr)
+    *stats = {expandWords + foldWords, messages, taskRetries, serialFallback};
+}
+
 void Session::run(std::span<const std::span<const double>> ins,
                   std::vector<double>& out, ExecStats* stats) {
   cancel::check_point(cancel_, "exec.iter", "cancel.exec.iter", ++iter_);
   const std::uint64_t t0 = trace::now_ns();
   const perf::Sample p0 = perf::read_thread();
-  run_serial_impl(ins, out, stats);
+  run_serial_impl(ins, out);
+  charge_iteration(stats, 0, false);
   note_iteration(t0, p0);
 }
 
 void Session::run_serial_impl(std::span<const std::span<const double>> ins,
-                              std::vector<double>& out, ExecStats* stats) {
+                              std::vector<double>& out) {
   trace::TraceScope span(c_.traceCat, c_.traceIteration, "procs", c_.numProcs,
                          "mt", 0);
   FGHP_REQUIRE(ins.size() == c_.in.size(), "input space count mismatch");
@@ -540,19 +555,6 @@ void Session::run_serial_impl(std::span<const std::span<const double>> ins,
     out[uz(c_.out.ownId[i])] += partial_[uz(c_.out.ownSlot[i])];
   for (std::size_t w = 0; w < c_.out.sendId.size(); ++w)
     out[uz(c_.out.sendId[w])] += partial_[uz(c_.out.sendSlot[w])];
-
-  if (stats != nullptr) {
-    *stats = {};
-    stats->wordsSent = c_.total_words();
-    stats->messagesSent = c_.total_messages();
-  }
-
-  mIterations_->add();
-  weight_t expandWords = 0;
-  for (const InSpaceImage& im : c_.in) expandWords += im.sendOff.back();
-  mExpandWords_->add(expandWords);
-  mFoldWords_->add(c_.out.sendOff.back());
-  mMessages_->add(c_.total_messages());
 }
 
 void Session::run_mt(std::span<const std::span<const double>> ins,
@@ -582,18 +584,15 @@ void Session::run_mt(std::span<const std::span<const double>> ins,
   out.resize(uz(c_.out.size));
   std::fill(out.begin(), out.end(), 0.0);
 
-  // This run's traffic tallies are standalone metrics counters: the tasks
-  // below are the only writers, ExecStats reads them back, and the totals
-  // fold into the registered metrics once at the end — one source of truth
-  // instead of parallel hand-rolled atomics.
-  metrics::Counter expandWords, foldWords, messages, taskRetries;
+  // Retries are the one dynamic quantity of an iteration; its traffic is the
+  // image's send offsets, charged once by charge_iteration.
+  metrics::Counter taskRetries;
   std::atomic<bool> failed{false};
 
   // Per-processor task wrapper: one retry (fault site `exec.retry`, same
   // ordinal), then give up and flag the run for the serial fallback. Task
   // bodies are idempotent — every scratch word they touch is assigned, not
-  // accumulated, and the traffic counters commit only on their last line —
-  // so a retry after a partial first attempt cannot double-count or
+  // accumulated — so a retry after a partial first attempt cannot
   // double-accumulate. The flag is read after the next barrier, so a failed
   // superstep never feeds garbage into the next one. Each completed task is
   // a trace span bracketed explicitly (begin/end on the worker that ran it).
@@ -643,7 +642,6 @@ void Session::run_mt(std::span<const std::span<const double>> ins,
   superstep([&](idx_t p) {
     run_task("exec.expand", p, [&, p] {
       idx_t sentTotal = 0;
-      idx_t msgs = 0;
       for (std::size_t sp = 0; sp < c_.in.size(); ++sp) {
         const InSpaceImage& im = c_.in[sp];
         const std::span<const double> x = ins[sp];
@@ -654,10 +652,7 @@ void Session::run_mt(std::span<const std::span<const double>> ins,
         kern::gather(inSendBuf_[sp].data() + base, x.data(), im.sendId.data() + base,
                      uz(sent));
         sentTotal += sent;
-        msgs += im.sendMsgOff[uz(p) + 1] - im.sendMsgOff[uz(p)];
       }
-      expandWords.add(sentTotal);
-      messages.add(msgs);
       trace::counter(c_.traceCat, "expand.words", static_cast<double>(sentTotal),
                      "proc", p);
     });
@@ -696,8 +691,6 @@ void Session::run_mt(std::span<const std::span<const double>> ins,
         const idx_t sent = c_.out.sendOff[uz(p) + 1] - base;
         kern::gather(outSendBuf_.data() + base, partial_.data(),
                      c_.out.sendSlot.data() + base, uz(sent));
-        foldWords.add(sent);
-        messages.add(c_.out.sendMsgOff[uz(p) + 1] - c_.out.sendMsgOff[uz(p)]);
         trace::counter(c_.traceCat, "fold.words", static_cast<double>(sent), "proc", p);
       });
     });
@@ -717,35 +710,18 @@ void Session::run_mt(std::span<const std::span<const double>> ins,
     });
   }
 
-  mTaskRetries_->add(taskRetries.value());
-
-  if (failed.load(std::memory_order_acquire)) {
+  const bool fellBack = failed.load(std::memory_order_acquire);
+  if (fellBack) {
     // Some task failed even its retry: discard the partial parallel run and
     // recompute from scratch on the (uninstrumented) serial path, which
-    // re-zeroes the output. Output and traffic counts match a clean run
-    // exactly. run_serial_impl, not run(): this is still the same logical
-    // iteration, so it must not consume a second check-point ordinal.
+    // re-zeroes the output. run_serial_impl, not run(): this is still the
+    // same logical iteration, so it must not consume a second check-point
+    // ordinal, and it is charged once below like a clean run.
     mSerialFallbacks_->add();
-    run_serial_impl(ins, out, stats);
-    if (stats != nullptr) {
-      stats->taskRetries = static_cast<idx_t>(taskRetries.value());
-      stats->serialFallback = true;
-    }
-    note_iteration(iterT0, iterP0);
-    return;
+    run_serial_impl(ins, out);
   }
-
-  mIterations_->add();
-  mExpandWords_->add(expandWords.value());
-  mFoldWords_->add(foldWords.value());
-  mMessages_->add(messages.value());
-
-  if (stats != nullptr) {
-    stats->wordsSent = static_cast<weight_t>(expandWords.value() + foldWords.value());
-    stats->messagesSent = static_cast<idx_t>(messages.value());
-    stats->taskRetries = static_cast<idx_t>(taskRetries.value());
-    stats->serialFallback = false;
-  }
+  mTaskRetries_->add(taskRetries.value());
+  charge_iteration(stats, static_cast<idx_t>(taskRetries.value()), fellBack);
   note_iteration(iterT0, iterP0);
 }
 

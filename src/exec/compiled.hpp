@@ -195,7 +195,13 @@ class Session {
   /// and the run_mt serial fallback calls it directly so one logical
   /// iteration never consumes two check-point ordinals.
   void run_serial_impl(std::span<const std::span<const double>> ins,
-                       std::vector<double>& out, ExecStats* stats);
+                       std::vector<double>& out);
+
+  /// The one traffic ledger: charges a completed iteration to
+  /// `<prefix>.{iterations,expand.words,fold.words,messages}` and fills
+  /// `stats`, both read from the image's send offsets — the schedule fixes
+  /// an iteration's traffic, so nothing is tallied per task.
+  void charge_iteration(ExecStats* stats, idx_t taskRetries, bool serialFallback);
 
   /// Resolves the registered per-workload metrics once at construction (the
   /// references are process-lifetime), so iterations stay allocation-free.
