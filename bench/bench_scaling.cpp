@@ -1,7 +1,7 @@
 // Ablation A4 — partitioner runtime scaling: time versus matrix size (via
 // the suite's scale knob) and versus K, for all three models, plus thread
 // scaling of the task-parallel recursive bisection with the per-phase
-// wall-clock breakdown. The paper's §4 expectation: the fine-grain model
+// busy-time breakdown read from the run's trace. The paper's §4 expectation: the fine-grain model
 // costs ~2.4x the 1D hypergraph model and ~7.3x the graph model, because it
 // has Z vertices and 2x the pins/nets.
 //
@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "partition/phase_timers.hpp"
 
 int main() {
   using namespace fghp;
@@ -49,9 +48,11 @@ int main() {
 
   // (c) Thread scaling of the fine-grain partitioner — the dominant cost of
   // the whole reproduction. Deterministic across thread counts: the 'cut'
-  // column must be identical in every row (DESIGN.md invariant 7). Phase
-  // columns are CPU time summed over threads (they exceed wall time once the
-  // recursion tree forks).
+  // column must be identical in every row (DESIGN.md invariant 7). Each run
+  // is traced, and the phase columns are the RunReport busy time of its
+  // "rb.phase" spans, summed over threads (they exceed wall time once the
+  // recursion tree forks). A run whose trace dropped events would
+  // under-report its phases, so it fails the bench.
   const int maxThreads = ThreadPool::default_num_threads();
   std::printf("\n(c) fine-grain thread scaling (K = 64, scale = %.2f, up to %d threads)\n",
               env.scale, maxThreads);
@@ -61,24 +62,36 @@ int main() {
   Table tc({"threads", "time[s]", "speedup", "cut", "coarsen[s]", "initial[s]", "refine[s]",
             "extract[s]"});
   double serialSecs = 0.0;
+  const bool wasTracing = trace::enabled();
+  trace::enable();
   for (idx_t t : threadCounts) {
     part::PartitionConfig cfg;
     cfg.seed = 1;
     cfg.numThreads = t;
-    const part::PhaseSnapshot before = part::phase_timers().snapshot();
+    trace::reset();
+    const report::Builder rep("bench_scaling", "partition");
     const model::ModelRun run = model::run_finegrain(a, 64, cfg);
-    const part::PhaseSnapshot ph = part::phase_timers().snapshot() - before;
+    const report::RunReport r = rep.build();
+    if (r.traceDropped > 0) {
+      std::fprintf(stderr, "error: threads=%d dropped %lld trace events\n",
+                   static_cast<int>(t), r.traceDropped);
+      return 1;
+    }
+    auto busy_s = [&](const char* phase) {
+      for (const report::PhaseStat& p : r.phases)
+        if (p.name == phase) return p.busyMs * 1e-3;
+      return 0.0;
+    };
     if (t == 1) serialSecs = run.partitionSeconds;
     tc.add_row({Table::num(static_cast<long long>(t)), Table::num(run.partitionSeconds, 3),
                 Table::num(run.partitionSeconds > 0 ? serialSecs / run.partitionSeconds : 0.0,
                            2) +
                     "x",
                 Table::num(static_cast<long long>(run.objective)),
-                Table::num(ph[part::Phase::kCoarsen], 3),
-                Table::num(ph[part::Phase::kInitial], 3),
-                Table::num(ph[part::Phase::kRefine], 3),
-                Table::num(ph[part::Phase::kExtract], 3)});
+                Table::num(busy_s("coarsen"), 3), Table::num(busy_s("initial"), 3),
+                Table::num(busy_s("refine"), 3), Table::num(busy_s("extract"), 3)});
   }
+  if (!wasTracing) trace::disable();
   tc.print();
   return 0;
 }

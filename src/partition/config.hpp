@@ -152,12 +152,6 @@ struct PartitionConfig {
   /// Fault-injection spec installed for this run (see util/fault.hpp);
   /// empty = leave the process-global spec (FGHP_FAULT_SPEC) in place.
   std::string faultSpec;
-
-  /// When non-empty, tracing is enabled for this partitioner run and a
-  /// Chrome trace-event JSON file is written here when the run finishes
-  /// (see util/trace.hpp). Empty = leave process-global tracing (FGHP_TRACE)
-  /// in charge.
-  std::string traceOut;
 };
 
 }  // namespace fghp::part

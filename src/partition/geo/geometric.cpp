@@ -115,10 +115,9 @@ GeoResult partition_points_geometric(const GeoPoints& pts, idx_t K,
   WallTimer timer;
 
   // Same operational scoping as partition_hypergraph: per-call fault spec,
-  // per-call trace capture, one enclosing span.
+  // one enclosing span.
   std::optional<fault::ScopedSpec> faultScope;
   if (!cfg.faultSpec.empty()) faultScope.emplace(cfg.faultSpec);
-  trace::ScopedCapture traceScope(cfg.traceOut);
   trace::TraceScope span("partition", "geo.partition", "k", K, "verts",
                          pts.num_vertices());
 

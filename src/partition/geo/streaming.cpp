@@ -70,7 +70,6 @@ StreamResult partition_points_streaming(const GeoPoints& pts, idx_t K,
 
   std::optional<fault::ScopedSpec> faultScope;
   if (!cfg.faultSpec.empty()) faultScope.emplace(cfg.faultSpec);
-  trace::ScopedCapture traceScope(cfg.traceOut);
   trace::TraceScope span("partition", "stream.partition", "k", K, "verts",
                          pts.num_vertices());
 

@@ -3,7 +3,7 @@
 #include "partition/gp/ginitial.hpp"
 #include "partition/gp/grefine.hpp"
 #include "partition/gp/match.hpp"
-#include "partition/phase_timers.hpp"
+#include "partition/phase.hpp"
 #include "util/cancel.hpp"
 #include "util/fault.hpp"
 #include "util/trace.hpp"

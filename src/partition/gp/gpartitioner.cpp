@@ -64,11 +64,9 @@ GpResult partition_graph(const gp::Graph& g, idx_t K, const PartitionConfig& cfg
   WallTimer timer;
 
   // Scope the configured fault spec to this call; an empty spec leaves any
-  // process-global (FGHP_FAULT_SPEC) installation untouched. The trace
-  // capture follows the same contract for cfg.traceOut.
+  // process-global (FGHP_FAULT_SPEC) installation untouched.
   std::optional<fault::ScopedSpec> faultScope;
   if (!cfg.faultSpec.empty()) faultScope.emplace(cfg.faultSpec);
-  trace::ScopedCapture traceScope(cfg.traceOut);
   trace::TraceScope span("partition", "gp.partition", "k", K, "verts",
                          g.num_vertices());
 

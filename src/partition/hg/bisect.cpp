@@ -5,7 +5,7 @@
 #include "partition/hg/coarsen.hpp"
 #include "partition/hg/initial.hpp"
 #include "partition/hg/refine.hpp"
-#include "partition/phase_timers.hpp"
+#include "partition/phase.hpp"
 #include "util/cancel.hpp"
 #include "util/fault.hpp"
 #include "util/trace.hpp"

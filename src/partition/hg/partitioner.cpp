@@ -73,11 +73,9 @@ HgResult partition_hypergraph(const hg::Hypergraph& h, idx_t K, const PartitionC
   WallTimer timer;
 
   // Scope the configured fault spec to this call; an empty spec leaves any
-  // process-global (FGHP_FAULT_SPEC) installation untouched. The trace
-  // capture follows the same contract for cfg.traceOut.
+  // process-global (FGHP_FAULT_SPEC) installation untouched.
   std::optional<fault::ScopedSpec> faultScope;
   if (!cfg.faultSpec.empty()) faultScope.emplace(cfg.faultSpec);
-  trace::ScopedCapture traceScope(cfg.traceOut);
   trace::TraceScope span("partition", "hg.partition", "k", K, "verts",
                          h.num_vertices());
 

@@ -14,7 +14,7 @@
 #include "partition/geo/rb_traits.hpp"
 #include "partition/gp/rb_traits.hpp"
 #include "partition/hg/rb_traits.hpp"
-#include "partition/phase_timers.hpp"
+#include "partition/phase.hpp"
 #include "util/cancel.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"

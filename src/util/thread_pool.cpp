@@ -17,11 +17,9 @@ namespace fghp {
 
 namespace {
 
-std::int64_t steady_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+/// Heartbeat time on the trace clock. Offset by one so a beat taken at the
+/// trace epoch never reads as the idle marker 0.
+std::int64_t steady_now_ns() { return static_cast<std::int64_t>(trace::now_ns()) + 1; }
 
 }  // namespace
 

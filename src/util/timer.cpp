@@ -1,12 +1,13 @@
 #include "util/timer.hpp"
 
+#include "util/trace.hpp"
+
 namespace fghp {
 
-void WallTimer::reset() { start_ = std::chrono::steady_clock::now(); }
+void WallTimer::reset() { startNs_ = trace::now_ns(); }
 
 double WallTimer::seconds() const {
-  const auto now = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(now - start_).count();
+  return static_cast<double>(trace::now_ns() - startNs_) * 1e-9;
 }
 
 }  // namespace fghp

@@ -1,7 +1,8 @@
-// Wall-clock timing helpers for the benchmark harnesses.
+// Wall-clock timing helpers for the benchmark harnesses. WallTimer reads the
+// trace clock (trace::now_ns), the process's one monotonic time source.
 #pragma once
 
-#include <chrono>
+#include <cstdint>
 
 namespace fghp {
 
@@ -21,7 +22,7 @@ class WallTimer {
   double millis() const { return seconds() * 1e3; }
 
  private:
-  std::chrono::steady_clock::time_point start_;
+  std::uint64_t startNs_ = 0;
 };
 
 /// Accumulates the total of several timed sections (partitioner phases).

@@ -336,20 +336,4 @@ void write_chrome_trace_file(const std::string& pathOrDash) {
                      [](std::ostream& out) { write_chrome_trace(out); });
 }
 
-ScopedCapture::ScopedCapture(std::string path) : path_(std::move(path)) {
-  if (path_.empty()) return;
-  wasEnabled_ = enabled();
-  enable();
-}
-
-ScopedCapture::~ScopedCapture() {
-  if (path_.empty()) return;
-  try {
-    write_chrome_trace_file(path_);
-  } catch (...) {
-    // Losing a trace must never fail the traced computation.
-  }
-  if (!wasEnabled_) disable();
-}
-
 }  // namespace fghp::trace

@@ -4,8 +4,8 @@
 // while tracing is disabled (the default); RAII scopes additionally keep the
 // always-on, allocation-free activity stack (current_activity()) so stall
 // diagnostics can name the running phase even in untraced runs. When enabled — programmatically,
-// via the FGHP_TRACE environment variable, or per partitioner run through
-// PartitionConfig::traceOut — events are recorded into per-thread ring
+// via the FGHP_TRACE environment variable, or by a CLI's --trace-out flag
+// (report::Observability) — events are recorded into per-thread ring
 // buffers with no locking and no heap allocation on the hot path, and can be
 // exported as Chrome trace-event JSON (loadable in chrome://tracing or
 // https://ui.perfetto.dev) at any quiescent point.
@@ -216,23 +216,5 @@ void write_chrome_trace(std::ostream& out);
 /// Same, to a file — or stdout when the path is "-". Throws IoError if the
 /// file cannot be written.
 void write_chrome_trace_file(const std::string& pathOrDash);
-
-/// Captures one region into a trace file: enables tracing on construction
-/// (remembering whether it was already on) and writes `path` on destruction,
-/// restoring the previous enabled state. An empty path is a no-op, so
-/// callers can pass a config field through unconditionally. Export failures
-/// are swallowed (a lost trace must never fail the traced computation).
-class ScopedCapture {
- public:
-  explicit ScopedCapture(std::string path);
-  ~ScopedCapture();
-
-  ScopedCapture(const ScopedCapture&) = delete;
-  ScopedCapture& operator=(const ScopedCapture&) = delete;
-
- private:
-  std::string path_;
-  bool wasEnabled_ = false;
-};
 
 }  // namespace fghp::trace

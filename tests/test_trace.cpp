@@ -1,8 +1,9 @@
 // Tracing & metrics layer tests: span nesting across thread counts, ring
 // overflow (drops-oldest with an exact drop count), Chrome trace-event JSON
 // round-trip through json::parse, the disabled-mode guarantees (records
-// nothing, allocates nothing), the phase-timer adapter, ScopedCapture, the
-// metrics registry JSON, and partition bit-identity with tracing on/off.
+// nothing, allocates nothing), phase spans as the phase-time source, the
+// library capture route, the metrics registry JSON, and partition
+// bit-identity with tracing on/off.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,10 +18,11 @@
 
 #include "models/finegrain.hpp"
 #include "partition/hg/partitioner.hpp"
-#include "partition/phase_timers.hpp"
+#include "partition/phase.hpp"
 #include "sparse/generators.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
+#include "util/report.hpp"
 #include "util/trace.hpp"
 
 // Global allocation counter: the disabled-mode test asserts that an
@@ -207,35 +209,40 @@ TEST(TraceDisabled, RecordsNothingAndAllocatesNothing) {
   EXPECT_EQ(trace::dropped_count(), 0u);
 }
 
-// ------------------------------------------------- phase-timer adapter ----
+// --------------------------------------------------------- phase spans ----
 
 TEST(PhaseTimers, ScopedPhaseFeedsTimersAndTrace) {
+  // Phase time has one source: a ScopedPhase is an "rb.phase" span, and the
+  // RunReport aggregates it into the phase's busy time.
   TraceSandbox sandbox;
-  const part::PhaseSnapshot before = part::phase_timers().snapshot();
+  const report::Builder rep("test_trace", "phase");
   {
     part::ScopedPhase phase(part::Phase::kCoarsen, "level", 3);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  const part::PhaseSnapshot delta = part::phase_timers().snapshot() - before;
-  EXPECT_GT(delta[part::Phase::kCoarsen], 0.0);
-  EXPECT_EQ(delta[part::Phase::kInitial], 0.0);
 
   const json::Value doc = export_and_parse();
   const json::Value* span = find_event(doc, "coarsen");
   ASSERT_NE(span, nullptr);
   EXPECT_EQ(span->at("cat").str, "rb.phase");
   EXPECT_EQ(span->at("args").at("level").number, 3.0);
-  // Both views read the same clock pair: the span duration (us) matches the
-  // accumulated phase seconds.
-  EXPECT_NEAR(span->at("dur").number * 1e-6, delta[part::Phase::kCoarsen],
-              delta[part::Phase::kCoarsen] * 0.01 + 1e-9);
+
+  const report::RunReport r = rep.build();
+  ASSERT_EQ(r.phases.size(), 1u);
+  const report::PhaseStat& coarsen = r.phases.front();
+  EXPECT_EQ(coarsen.name, "coarsen");
+  EXPECT_EQ(coarsen.spans, 1);
+  EXPECT_GE(coarsen.busyMs, 2.0);
+  // The report reads the same clock pair the span carries (dur is in us).
+  EXPECT_NEAR(coarsen.busyMs, span->at("dur").number * 1e-3, 1e-6);
 }
 
 // --------------------------------------------- capture & instrumentation ----
 
 TEST(ScopedCapture, WritesPipelineTraceAndRestoresState) {
-  // Restore the full-size ring (a previous test may have shrunk it), then
-  // start from the disabled state the capture is expected to return to.
+  // The library capture route (what FGHP_TRACE and --trace-out do): enable,
+  // run, export, disable. Restore the full-size ring first (a previous test
+  // may have shrunk it) and start from the disabled state.
   trace::enable(1u << 15);
   trace::disable();
   trace::reset();
@@ -246,10 +253,12 @@ TEST(ScopedCapture, WritesPipelineTraceAndRestoresState) {
   const model::FineGrainModel m = model::build_finegrain(a);
   part::PartitionConfig cfg;
   cfg.numThreads = 1;
-  cfg.traceOut = path;
+  trace::enable();
   part::partition_hypergraph(m.h, 4, cfg);
+  trace::write_chrome_trace_file(path);
+  trace::disable();
 
-  EXPECT_FALSE(trace::enabled()) << "capture must restore the prior state";
+  EXPECT_FALSE(trace::enabled()) << "the capture must leave tracing off";
 
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
