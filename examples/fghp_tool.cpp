@@ -40,11 +40,13 @@
 // to look at, and an export failure on top of it only adds a stderr line.
 // Only on an otherwise successful run does a failed export turn into exit
 // code 3 (io).
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -400,17 +402,17 @@ int cmd_spgemm(const ArgParser& args, report::Builder& rep) {
     return static_cast<int>(ErrorCode::kInvariant);
   }
 
-  spgemm::CompileOptions copts;
+  exec::CompileOptions copts;
   copts.cancel = token;
-  spgemm::SpgemmSession session(t, run.decomp, copts);
+  exec::Session session(spgemm::build_schedule(t, run.decomp), copts);
   session.set_cancel(token);
-  spgemm::ExecStats stats;
+  const std::array<std::span<const double>, 2> ins{a.values(), b.values()};
+  exec::ExecStats stats;
   WallTimer timer;
   std::vector<double> c;
   {
     perf::CounterScope perfScope("spgemm");
-    for (int r = 0; r < reps; ++r)
-      session.run_mt(a.values(), b.values(), c, threads, &stats);
+    for (int r = 0; r < reps; ++r) session.run_mt(ins, c, threads, &stats);
   }
   const double wall = timer.millis() / reps;
 

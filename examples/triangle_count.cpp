@@ -10,7 +10,9 @@
 // fine-grain SpGEMM task graph of A*A, execute the distributed multiply
 // through the generic engine, then mask the result with A's own pattern.
 // A serial merge-count cross-checks the total.
+#include <array>
 #include <cstdio>
+#include <span>
 #include <vector>
 
 #include "spgemm/finegrain.hpp"
@@ -81,9 +83,10 @@ int main() {
 
   // Distributed multiply, then mask (A^2)_ij with A's pattern. A is 0/1 so
   // the masked sum is exactly 6x the triangle count.
-  spgemm::SpgemmSession session(t, run.decomp);
+  exec::Session session(spgemm::build_schedule(t, run.decomp));
+  const std::array<std::span<const double>, 2> ins{a.values(), a.values()};
   std::vector<double> c;
-  session.run_mt(a.values(), a.values(), c);
+  session.run_mt(ins, c);
 
   double masked = 0.0;
   std::size_t g = 0;

@@ -1,8 +1,8 @@
 // Schedule compilation: lowers an exec::Schedule into a local-indexed,
 // zero-allocation execution image (Image) and runs it through a reusable
 // Session. This is the workload-agnostic core behind spmv::ExecSession and
-// spgemm::SpgemmSession — one lowering and one BSP engine execute every
-// schedule, whatever its space count.
+// the SpGEMM schedules of spgemm::build_schedule — one lowering and one BSP
+// engine execute every schedule, whatever its space count.
 //
 // A plan-walking executor pays a hash lookup per task plus fresh
 // mailbox/cache/partial allocations on every call. Iterative callers run

@@ -1,7 +1,5 @@
 #include "spgemm/plan.hpp"
 
-#include <array>
-
 #include "util/assert.hpp"
 #include "util/trace.hpp"
 
@@ -63,23 +61,6 @@ exec::Schedule build_schedule(const TaskGraph& t, const SpgemmDecomposition& d) 
   s.outComm = exec::build_space_comm(d.cOwner, s.tasks, &exec::ProcTasks::outId,
                                      exec::Flow::kFold);
   return s;
-}
-
-SpgemmSession::SpgemmSession(const TaskGraph& t, const SpgemmDecomposition& d,
-                             const CompileOptions& opts)
-    : s_(build_schedule(t, d), opts) {}
-
-void SpgemmSession::run(std::span<const double> aVals, std::span<const double> bVals,
-                        std::vector<double>& c, ExecStats* stats) {
-  const std::array<std::span<const double>, 2> ins{aVals, bVals};
-  s_.run(ins, c, stats);
-}
-
-void SpgemmSession::run_mt(std::span<const double> aVals,
-                           std::span<const double> bVals, std::vector<double>& c,
-                           idx_t numThreads, ExecStats* stats) {
-  const std::array<std::span<const double>, 2> ins{aVals, bVals};
-  s_.run_mt(ins, c, numThreads, stats);
 }
 
 }  // namespace fghp::spgemm

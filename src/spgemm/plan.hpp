@@ -11,12 +11,10 @@
 // compiled engine executes both (DESIGN.md §14).
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "exec/compiled.hpp"
 #include "spgemm/tasks.hpp"
-#include "util/cancel.hpp"
 
 namespace fghp::spgemm {
 
@@ -40,38 +38,10 @@ void validate(const TaskGraph& t, const SpgemmDecomposition& d);
 /// enforces); per-processor tasks keep the canonical task order. Trace and
 /// metric labels are the "spgemm" family. The word/message totals of the
 /// schedule equal spgemm::analyze's by construction — tests assert it.
+///
+/// Execute it with exec::Session(build_schedule(t, d)): the inputs are
+/// {A entry values, B entry values} in CSR order, and the output is C's
+/// entry values in the task graph's C pattern order.
 exec::Schedule build_schedule(const TaskGraph& t, const SpgemmDecomposition& d);
-
-using ExecStats = exec::ExecStats;
-using CompileOptions = exec::CompileOptions;
-
-/// Owns a compiled SpGEMM image plus the scratch to execute it repeatedly —
-/// exec::Session with the two-input calling convention run(aVals, bVals, c).
-/// Zero heap allocation per serial iteration after the first; bit-identical
-/// serial/MT results at any thread count; the `exec.*` fault and cancel
-/// sites and the retry/serial-fallback ladder all armed exactly as for SpMV.
-class SpgemmSession {
- public:
-  SpgemmSession(const TaskGraph& t, const SpgemmDecomposition& d,
-                const CompileOptions& opts = {});
-
-  const exec::Image& image() const { return s_.image(); }
-  void set_cancel(cancel::CancelToken token) { s_.set_cancel(std::move(token)); }
-  long iterations_started() const { return s_.iterations_started(); }
-
-  /// Serial distributed multiply: aVals/bVals are the operand entry values
-  /// in CSR order; c is resized to the C pattern and accumulated in the
-  /// canonical task order.
-  void run(std::span<const double> aVals, std::span<const double> bVals,
-           std::vector<double>& c, ExecStats* stats = nullptr);
-
-  /// Threaded BSP multiply (expand-A/expand-B, pair-multiply, fold-C).
-  void run_mt(std::span<const double> aVals, std::span<const double> bVals,
-              std::vector<double>& c, idx_t numThreads = 0,
-              ExecStats* stats = nullptr);
-
- private:
-  exec::Session s_;
-};
 
 }  // namespace fghp::spgemm

@@ -55,6 +55,12 @@ SpgemmDecomposition random_decomposition(const TaskGraph& t, idx_t K,
   return d;
 }
 
+/// An SpGEMM schedule's inputs: {A entry values, B entry values}.
+std::array<std::span<const double>, 2> operands(const sparse::Csr& a,
+                                                const sparse::Csr& b) {
+  return {std::span<const double>(a.values()), std::span<const double>(b.values())};
+}
+
 struct Fixture {
   sparse::Csr a, b;
   TaskGraph t;
@@ -186,11 +192,11 @@ TEST(SpgemmExec, MatchesReferenceAndBitIdenticalAcrossThreads) {
   part::PartitionConfig cfg;
   cfg.seed = 42;
   const SpgemmRun run = run_spgemm_finegrain(f.t, 6, cfg);
-  SpgemmSession session(f.t, run.decomp);
+  exec::Session session(build_schedule(f.t, run.decomp));
 
   std::vector<double> cSerial;
-  ExecStats stats;
-  session.run(f.a.values(), f.b.values(), cSerial, &stats);
+  exec::ExecStats stats;
+  session.run(operands(f.a, f.b), cSerial, &stats);
   ASSERT_EQ(cSerial.size(), uz(f.t.num_c()));
   for (std::size_t g = 0; g < cSerial.size(); ++g)
     EXPECT_NEAR(cSerial[g], f.cRef[g], 1e-12) << "entry " << g;
@@ -201,7 +207,7 @@ TEST(SpgemmExec, MatchesReferenceAndBitIdenticalAcrossThreads) {
 
   for (idx_t threads : {1, 2, 8}) {
     std::vector<double> cMt;
-    session.run_mt(f.a.values(), f.b.values(), cMt, threads);
+    session.run_mt(operands(f.a, f.b), cMt, threads);
     ASSERT_EQ(cMt.size(), cSerial.size());
     EXPECT_EQ(0, std::memcmp(cMt.data(), cSerial.data(),
                              cSerial.size() * sizeof(double)))
@@ -227,9 +233,9 @@ TEST(SpgemmExec, DistinctBMatrixRoundTripsThroughMatrixMarket) {
   part::PartitionConfig cfg;
   cfg.seed = 42;
   const SpgemmRun run = run_spgemm_finegrain(t, 4, cfg);
-  SpgemmSession session(t, run.decomp);
+  exec::Session session(build_schedule(t, run.decomp));
   std::vector<double> c;
-  session.run(a2.values(), b2.values(), c);
+  session.run(operands(a2, b2), c);
   ASSERT_EQ(c.size(), f.cRef.size());
   for (std::size_t g = 0; g < c.size(); ++g)
     EXPECT_NEAR(c[g], f.cRef[g], 1e-12) << "C entry " << g;
@@ -238,12 +244,13 @@ TEST(SpgemmExec, DistinctBMatrixRoundTripsThroughMatrixMarket) {
 TEST(SpgemmExec, RepeatedIterationsAllocateNothing) {
   const Fixture f(9);
   const SpgemmDecomposition d = random_decomposition(f.t, 4, 31);
-  SpgemmSession session(f.t, d);
+  exec::Session session(build_schedule(f.t, d));
+  const auto ins = operands(f.a, f.b);
   std::vector<double> c;
-  session.run(f.a.values(), f.b.values(), c);  // first iteration sizes scratch
+  session.run(ins, c);  // first iteration sizes scratch
 
   const long before = g_allocCount.load(std::memory_order_relaxed);
-  for (int it = 0; it < 10; ++it) session.run(f.a.values(), f.b.values(), c);
+  for (int it = 0; it < 10; ++it) session.run(ins, c);
   EXPECT_EQ(g_allocCount.load(std::memory_order_relaxed), before);
 }
 
@@ -294,15 +301,16 @@ TEST(SpgemmValidate, BadOwnerCaught) {
 TEST(SpgemmFault, TaskRetryRecoversBitIdentically) {
   const Fixture f(19, 64, 4);
   const SpgemmDecomposition d = random_decomposition(f.t, 4, 43);
-  SpgemmSession session(f.t, d);
+  exec::Session session(build_schedule(f.t, d));
+  const auto ins = operands(f.a, f.b);
   std::vector<double> cSerial;
-  session.run(f.a.values(), f.b.values(), cSerial);
+  session.run(ins, cSerial);
 
   {
     fault::ScopedSpec spec("exec.expand:1");
     std::vector<double> c;
-    ExecStats stats;
-    session.run_mt(f.a.values(), f.b.values(), c, 4, &stats);
+    exec::ExecStats stats;
+    session.run_mt(ins, c, 4, &stats);
     EXPECT_GE(stats.taskRetries, 1);
     EXPECT_FALSE(stats.serialFallback);
     EXPECT_EQ(0, std::memcmp(c.data(), cSerial.data(), c.size() * sizeof(double)));
@@ -310,8 +318,8 @@ TEST(SpgemmFault, TaskRetryRecoversBitIdentically) {
   {
     fault::ScopedSpec spec("exec.expand:1,exec.retry:1");
     std::vector<double> c;
-    ExecStats stats;
-    session.run_mt(f.a.values(), f.b.values(), c, 4, &stats);
+    exec::ExecStats stats;
+    session.run_mt(ins, c, 4, &stats);
     EXPECT_TRUE(stats.serialFallback);
     EXPECT_EQ(0, std::memcmp(c.data(), cSerial.data(), c.size() * sizeof(double)));
   }
