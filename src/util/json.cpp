@@ -165,6 +165,45 @@ const Value& Value::at(const std::string& key) const {
 
 namespace {
 
+const Value& typed_at(const Value& obj, const std::string& key, Value::Type want,
+                      const char* wantName) {
+  const Value& v = obj.at(key);
+  if (v.type != want)
+    throw FormatError("JSON: member '" + key + "' must be " + wantName);
+  return v;
+}
+
+}  // namespace
+
+long long Value::int_at(const std::string& key) const {
+  const Value& v = typed_at(*this, key, Type::kNumber, "an integer");
+  if (std::trunc(v.number) != v.number)
+    throw FormatError("JSON: member '" + key + "' must be an integer");
+  return v.integer;
+}
+
+double Value::number_at(const std::string& key) const {
+  return typed_at(*this, key, Type::kNumber, "a number").number;
+}
+
+const std::string& Value::string_at(const std::string& key) const {
+  return typed_at(*this, key, Type::kString, "a string").str;
+}
+
+bool Value::bool_at(const std::string& key) const {
+  return typed_at(*this, key, Type::kBool, "a boolean").boolean;
+}
+
+const std::vector<Value>& Value::array_at(const std::string& key) const {
+  return typed_at(*this, key, Type::kArray, "an array").array;
+}
+
+const Value& Value::object_at(const std::string& key) const {
+  return typed_at(*this, key, Type::kObject, "an object");
+}
+
+namespace {
+
 bool is_digit(char c) { return c >= '0' && c <= '9'; }
 
 /// `d` truncated toward zero, saturated to the int64 range.

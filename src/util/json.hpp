@@ -122,7 +122,16 @@ struct Value {
 
   /// Member access; throws FormatError when absent or not an object.
   const Value& at(const std::string& key) const;
-  long long as_int() const { return integer; }
+
+  /// Checked member reads: like at(), and the member must also hold the
+  /// named type — an integer is a number with no fractional part — else a
+  /// FormatError names the key and the expected type.
+  long long int_at(const std::string& key) const;
+  double number_at(const std::string& key) const;
+  const std::string& string_at(const std::string& key) const;
+  bool bool_at(const std::string& key) const;
+  const std::vector<Value>& array_at(const std::string& key) const;
+  const Value& object_at(const std::string& key) const;
 };
 
 /// Parses one JSON document. Throws FormatError on malformed input.

@@ -355,11 +355,11 @@ void write_file(const RunReport& r, const std::string& pathOrDash) {
 
 Observability::Observability(const ArgParser& args, std::string tool,
                              std::string command)
-    : traceOut_(args.flag("trace-out").value_or("")),
-      metricsOut_(args.flag("metrics-out").value_or("")),
-      reportOut_(args.flag("report-out").value_or("")),
+    : tracePath_(args.flag("trace-out").value_or("")),
+      metricsPath_(args.flag("metrics-out").value_or("")),
+      reportPath_(args.flag("report-out").value_or("")),
       builder_(std::move(tool), std::move(command)) {
-  if (!traceOut_.empty() || !reportOut_.empty()) trace::enable();
+  if (!tracePath_.empty() || !reportPath_.empty()) trace::enable();
   if (args.has_switch("perf")) perf::set_enabled(true);
 }
 
@@ -374,9 +374,9 @@ int Observability::finish() const {
       rc = static_cast<int>(ErrorCode::kIo);
     }
   };
-  attempt(traceOut_, trace::write_chrome_trace_file);
-  attempt(metricsOut_, metrics::write_global_json);
-  attempt(reportOut_, [this](const std::string& path) { write_file(builder_.build(), path); });
+  attempt(tracePath_, trace::write_chrome_trace_file);
+  attempt(metricsPath_, metrics::write_global_json);
+  attempt(reportPath_, [this](const std::string& path) { write_file(builder_.build(), path); });
   return rc;
 }
 
@@ -399,104 +399,105 @@ void render_file(const std::string& path, std::ostream& out) {
   buf << in.rdbuf();
   const json::Value doc = json::parse(buf.str());
 
-  const long long version = doc.at("run_report_version").as_int();
-  out << "RunReport v" << version << ": " << doc.at("tool").str << " "
-      << doc.at("command").str << " — status " << doc.at("status").str;
-  if (!doc.at("error").str.empty()) out << " (" << doc.at("error").str << ")";
+  // Every read is type-checked: a hand-edited report fails as a FormatError
+  // naming the member, never renders defaults.
+  const long long version = doc.int_at("run_report_version");
+  out << "RunReport v" << version << ": " << doc.string_at("tool") << " "
+      << doc.string_at("command") << " — status " << doc.string_at("status");
+  if (!doc.string_at("error").empty()) out << " (" << doc.string_at("error") << ")";
   out << "\n";
   {
     char line[128];
     std::snprintf(line, sizeof line, "  wall %.2f ms, cpu %.2f ms\n",
-                  doc.at("wall_ms").number, doc.at("cpu_ms").number);
+                  doc.number_at("wall_ms"), doc.number_at("cpu_ms"));
     out << line;
   }
-  if (!doc.at("info").object.empty()) {
+  const json::Value& info = doc.object_at("info");
+  if (!info.object.empty()) {
     out << "  info:";
-    for (const auto& [k, v] : doc.at("info").object) out << " " << k << "=" << v.str;
+    for (const auto& [k, v] : info.object) out << " " << k << "=" << info.string_at(k);
     out << "\n";
   }
-  const json::Value& tr = doc.at("trace");
-  out << "  trace: " << (tr.at("enabled").boolean ? "enabled" : "disabled") << ", "
-      << tr.at("events").as_int() << " events, " << tr.at("dropped").as_int()
-      << " dropped\n";
+  const json::Value& tr = doc.object_at("trace");
+  out << "  trace: " << (tr.bool_at("enabled") ? "enabled" : "disabled") << ", "
+      << tr.int_at("events") << " events, " << tr.int_at("dropped") << " dropped\n";
 
-  const json::Value& phases = doc.at("phases");
-  if (!phases.array.empty()) {
+  const std::vector<json::Value>& phases = doc.array_at("phases");
+  if (!phases.empty()) {
     out << "\nphases (wall / busy / critical path, parallel efficiency):\n";
     Table t({"phase", "spans", "workers", "wall ms", "busy ms", "crit ms", "eff"});
-    for (const json::Value& p : phases.array) {
-      t.add_row({p.at("name").str, Table::num(p.at("spans").as_int()),
-                 Table::num(p.at("workers").as_int()),
-                 Table::num(p.at("wall_ms").number, 3),
-                 Table::num(p.at("busy_ms").number, 3),
-                 Table::num(p.at("critical_path_ms").number, 3),
-                 pct(p.at("parallel_efficiency").number)});
+    for (const json::Value& p : phases) {
+      t.add_row({p.string_at("name"), Table::num(p.int_at("spans")),
+                 Table::num(p.int_at("workers")), Table::num(p.number_at("wall_ms"), 3),
+                 Table::num(p.number_at("busy_ms"), 3),
+                 Table::num(p.number_at("critical_path_ms"), 3),
+                 pct(p.number_at("parallel_efficiency"))});
     }
     out << t.to_string();
   }
 
-  const json::Value& workers = doc.at("workers");
-  if (!workers.array.empty()) {
+  const std::vector<json::Value>& workers = doc.array_at("workers");
+  if (!workers.empty()) {
     out << "\nworkers:\n";
     Table t({"tid", "busy ms", "utilization"});
-    for (const json::Value& w : workers.array) {
-      t.add_row({Table::num(w.at("tid").as_int()), Table::num(w.at("busy_ms").number, 3),
-                 pct(w.at("utilization").number)});
+    for (const json::Value& w : workers) {
+      t.add_row({Table::num(w.int_at("tid")), Table::num(w.number_at("busy_ms"), 3),
+                 pct(w.number_at("utilization"))});
     }
     out << t.to_string();
   }
 
-  const json::Value& perf = doc.at("perf");
+  const json::Value& perf = doc.object_at("perf");
   out << "\nperf counters: ";
-  if (!perf.at("compiled_in").boolean) {
+  if (!perf.bool_at("compiled_in")) {
     out << "compiled out (FGHP_PERF=OFF)\n";
-  } else if (!perf.at("enabled").boolean) {
+  } else if (!perf.bool_at("enabled")) {
     out << "disabled (run with --perf)\n";
-  } else if (!perf.at("available").boolean) {
+  } else if (!perf.bool_at("available")) {
     out << "unavailable on this kernel/container (counters read zero)\n";
   } else {
-    const double cycles = perf.at("cycles").number;
-    const double instr = perf.at("instructions").number;
+    const double cycles = perf.number_at("cycles");
+    const double instr = perf.number_at("instructions");
     char line[256];
     std::snprintf(line, sizeof line,
                   "%.3g cycles, %.3g instructions (IPC %.2f), %.3g LLC misses, "
                   "%.3g branch misses\n",
                   cycles, instr, cycles > 0 ? instr / cycles : 0.0,
-                  perf.at("llc_misses").number, perf.at("branch_misses").number);
+                  perf.number_at("llc_misses"), perf.number_at("branch_misses"));
     out << line;
   }
 
-  const json::Value& audit = doc.at("volume_audit");
-  if (audit.at("present").boolean) {
-    out << "volume audit [" << audit.at("metric_prefix").str << "]: "
-        << (audit.at("matches").boolean ? "MATCH" : "MISMATCH") << " — "
-        << audit.at("iterations").as_int() << " iterations; expand "
-        << audit.at("modeled_expand_words").as_int() << " modeled * iters vs "
-        << audit.at("measured_expand_words").as_int() << " measured; fold "
-        << audit.at("modeled_fold_words").as_int() << " vs "
-        << audit.at("measured_fold_words").as_int() << "; messages "
-        << audit.at("modeled_messages").as_int() << " vs "
-        << audit.at("measured_messages").as_int() << "\n";
+  const json::Value& audit = doc.object_at("volume_audit");
+  if (audit.bool_at("present")) {
+    out << "volume audit [" << audit.string_at("metric_prefix") << "]: "
+        << (audit.bool_at("matches") ? "MATCH" : "MISMATCH") << " — "
+        << audit.int_at("iterations") << " iterations; expand "
+        << audit.int_at("modeled_expand_words") << " modeled * iters vs "
+        << audit.int_at("measured_expand_words") << " measured; fold "
+        << audit.int_at("modeled_fold_words") << " vs "
+        << audit.int_at("measured_fold_words") << "; messages "
+        << audit.int_at("modeled_messages") << " vs "
+        << audit.int_at("measured_messages") << "\n";
   } else {
     out << "volume audit: not armed\n";
   }
 
-  const json::Value& comm = doc.at("proc_comm");
-  if (comm.at("present").boolean) {
+  const json::Value& comm = doc.object_at("proc_comm");
+  if (comm.bool_at("present")) {
     char line[192];
     std::snprintf(line, sizeof line,
                   "proc comm: K=%zu, %lld total words, max/proc %lld "
                   "(avg %.1f, imbalance %.1f%%)\n",
-                  comm.at("send_words").array.size(), comm.at("total_words").as_int(),
-                  comm.at("max_proc_words").as_int(), comm.at("avg_proc_words").number,
-                  comm.at("imbalance_percent").number);
+                  comm.array_at("send_words").size(), comm.int_at("total_words"),
+                  comm.int_at("max_proc_words"), comm.number_at("avg_proc_words"),
+                  comm.number_at("imbalance_percent"));
     out << line;
   }
 
-  const json::Value& metrics = doc.at("metrics");
-  out << "metrics: " << metrics.at("counters").object.size() << " counters, "
-      << metrics.at("gauges").object.size() << " gauges, "
-      << metrics.at("histograms").object.size()
+  const json::Value& metrics = doc.object_at("metrics");
+  out << "metrics: " << metrics.object_at("counters").object.size() << " counters, "
+      << metrics.object_at("gauges").object.size() << " gauges, "
+      << metrics.object_at("histograms").object.size()
       << " histograms (deltas over the run; full values in the JSON)\n";
 }
 

@@ -20,8 +20,8 @@
 // (comm::analyze totals, matrix info), and asked to build() at the end —
 // including on the failure path, honoring the CLIs' written-even-on-failure
 // contract. `fghp_tool report FILE` renders a saved report back into tables
-// (render_file). The JSON document is the intended payload of the future
-// fghp_serve /stats endpoint (ROADMAP item 1).
+// (render_file), reading every member through json::Value's type-checked
+// accessors.
 //
 // This lives in util (base layer): it knows nothing of matrices or plans,
 // only plain numbers the caller computed with comm::analyze etc.
@@ -200,7 +200,7 @@ class Observability {
   int finish() const;
 
  private:
-  std::string traceOut_, metricsOut_, reportOut_;
+  std::string tracePath_, metricsPath_, reportPath_;
   Builder builder_;
 };
 

@@ -264,7 +264,7 @@ TEST(RunReport, JsonRoundTrip) {
   report::write_json(r, os);
 
   const json::Value doc = json::parse(os.str());
-  EXPECT_EQ(doc.at("run_report_version").as_int(), report::kRunReportVersion);
+  EXPECT_EQ(doc.int_at("run_report_version"), report::kRunReportVersion);
   EXPECT_EQ(doc.at("tool").str, "test_report");
   EXPECT_EQ(doc.at("command").str, "roundtrip");
   EXPECT_EQ(doc.at("status").str, "ok");
@@ -272,14 +272,14 @@ TEST(RunReport, JsonRoundTrip) {
   EXPECT_EQ(doc.at("perf").at("compiled_in").boolean, perf::compiled_in());
   const json::Value& audit = doc.at("volume_audit");
   EXPECT_TRUE(audit.at("present").boolean);
-  EXPECT_EQ(audit.at("modeled_expand_words").as_int(), 11);
+  EXPECT_EQ(audit.int_at("modeled_expand_words"), 11);
   // No executor ran since the builder was created: 0 iterations, and the
   // audit holds trivially (0 == modeled * 0).
-  EXPECT_EQ(audit.at("iterations").as_int(), 0);
+  EXPECT_EQ(audit.int_at("iterations"), 0);
   EXPECT_TRUE(audit.at("matches").boolean);
   const json::Value& comm = doc.at("proc_comm");
-  EXPECT_EQ(comm.at("total_words").as_int(), 8);
-  EXPECT_EQ(comm.at("max_proc_words").as_int(), 8);
+  EXPECT_EQ(comm.int_at("total_words"), 8);
+  EXPECT_EQ(comm.int_at("max_proc_words"), 8);
 }
 
 TEST(RunReport, WriteFileAndRenderFile) {
@@ -318,6 +318,49 @@ TEST(RunReport, RenderFileRejectsMalformedJson) {
     std::ostringstream out;
     EXPECT_THROW(report::render_file(path, out), FormatError) << text.substr(0, 40);
   }
+
+  // A well-formed report with hand-edited member types: each edit alone, and
+  // all three together, is a FormatError naming the member and the type it
+  // must have (the unchecked reader rendered "RunReport v0" and "wall 0.00
+  // ms" and succeeded).
+  std::ostringstream good;
+  report::write_json(report::Builder("test_report", "edit").build(), good);
+  // Replaces the value of the first `"key": value` line.
+  auto edit = [](std::string text, const std::string& key, const std::string& value) {
+    const std::size_t at = text.find("\"" + key + "\": ");
+    EXPECT_NE(at, std::string::npos) << key;
+    const std::size_t from = at + key.size() + 4;
+    const std::size_t to = text.find_first_of(",\n", from);
+    return text.replace(from, to - from, value);
+  };
+  struct Edit {
+    std::string key, value, message;
+  };
+  const std::vector<Edit> edits = {
+      {"run_report_version", R"("one")", "member 'run_report_version' must be an integer"},
+      {"tool", "5", "member 'tool' must be a string"},
+      {"wall_ms", R"("fast")", "member 'wall_ms' must be a number"},
+  };
+  auto expect_rejected = [&](const std::string& text, const std::string& message) {
+    {
+      std::ofstream f(path);
+      f << text;
+    }
+    std::ostringstream out;
+    try {
+      report::render_file(path, out);
+      ADD_FAILURE() << "rendered a report that should fail with: " << message;
+    } catch (const FormatError& err) {
+      EXPECT_NE(std::string(err.what()).find(message), std::string::npos) << err.what();
+    }
+  };
+  std::string allEdits = good.str();
+  for (const Edit& e : edits) {
+    expect_rejected(edit(good.str(), e.key, e.value), e.message);
+    allEdits = edit(allEdits, e.key, e.value);
+  }
+  expect_rejected(allEdits, edits.front().message);  // fails on its first member
+
   std::ostringstream out;
   EXPECT_THROW(report::render_file(path + ".missing", out), IoError);
   std::remove(path.c_str());
