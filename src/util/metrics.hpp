@@ -11,9 +11,10 @@
 //    bench harnesses.
 //
 //  * Standalone instances — Counter / Gauge / Histogram are plain objects;
-//    a scoped computation (one ExecSession::run_mt call) can own private
-//    counters that concurrent tasks update, read them into its result
-//    struct, and fold the totals into the registered metrics afterwards.
+//    a scoped computation (one exec::Session::run_mt call) can own private
+//    counters that concurrent tasks update (its task retries), read them
+//    into its result struct, and fold the totals into the registered
+//    metrics afterwards.
 //
 // Metric names are dot-separated paths ("spmv.task_retries"). Recording is
 // always on: an atomic add is cheap enough that metrics need no enable gate
