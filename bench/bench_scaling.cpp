@@ -1,15 +1,16 @@
 // Ablation A4 — partitioner runtime scaling: time versus matrix size (via
 // the suite's scale knob) and versus K, for all three models, plus thread
 // scaling of the task-parallel recursive bisection with the per-phase
-// busy-time breakdown read from the run's trace. The paper's §4 expectation: the fine-grain model
-// costs ~2.4x the 1D hypergraph model and ~7.3x the graph model, because it
-// has Z vertices and 2x the pins/nets.
+// busy-time breakdown read from the run's trace. The paper's §4
+// expectation: the fine-grain model costs ~2.4x the 1D hypergraph model and
+// ~7.3x the graph model, because it has Z vertices and 2x the pins/nets.
 //
 // Knobs: FGHP_MATRICES (first entry used; default ken-11), FGHP_K,
 // FGHP_SCALE, FGHP_THREADS (upper bound of the thread sweep in (c)).
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "partition/phase.hpp"
 
 int main() {
   using namespace fghp;
@@ -77,9 +78,9 @@ int main() {
                    static_cast<int>(t), r.traceDropped);
       return 1;
     }
-    auto busy_s = [&](const char* phase) {
+    auto busy_s = [&](part::Phase phase) {
       for (const report::PhaseStat& p : r.phases)
-        if (p.name == phase) return p.busyMs * 1e-3;
+        if (p.name == part::phase_name(phase)) return p.busyMs * 1e-3;
       return 0.0;
     };
     if (t == 1) serialSecs = run.partitionSeconds;
@@ -88,8 +89,10 @@ int main() {
                            2) +
                     "x",
                 Table::num(static_cast<long long>(run.objective)),
-                Table::num(busy_s("coarsen"), 3), Table::num(busy_s("initial"), 3),
-                Table::num(busy_s("refine"), 3), Table::num(busy_s("extract"), 3)});
+                Table::num(busy_s(part::Phase::kCoarsen), 3),
+                Table::num(busy_s(part::Phase::kInitial), 3),
+                Table::num(busy_s(part::Phase::kRefine), 3),
+                Table::num(busy_s(part::Phase::kExtract), 3)});
   }
   if (!wasTracing) trace::disable();
   tc.print();
