@@ -415,7 +415,8 @@ void render_file(const std::string& path, std::ostream& out) {
   const json::Value& info = doc.object_at("info");
   if (!info.object.empty()) {
     out << "  info:";
-    for (const auto& [k, v] : info.object) out << " " << k << "=" << info.string_at(k);
+    for (const auto& member : info.object)
+      out << " " << member.first << "=" << info.string_at(member.first);
     out << "\n";
   }
   const json::Value& tr = doc.object_at("trace");
