@@ -13,7 +13,7 @@ echo "--- ThreadSanitizer: task-parallel recursive bisection + tracing + cancel 
 cmake -B build-tsan -G Ninja -DFGHP_SANITIZE=thread \
       -DFGHP_BUILD_BENCH=OFF -DFGHP_BUILD_EXAMPLES=OFF > /dev/null
 cmake --build build-tsan --target test_parallel_rb test_fastpart test_trace test_cancel \
-      test_spgemm
+      test_spgemm test_compiled test_exec_golden
 FGHP_THREADS=8 ./build-tsan/tests/test_parallel_rb
 # The fast-path partitioners share the task-parallel RB engine (geometric)
 # and must stay bit-identical at 8 threads; TSan watches the forked splits.
@@ -25,6 +25,11 @@ FGHP_THREADS=8 ./build-tsan/tests/test_fastpart
 # The SpGEMM tests drive the generic executor's threaded BSP supersteps
 # (two gathered input spaces, retry/fallback ladder) under TSan.
 ./build-tsan/tests/test_spgemm
+# exec::compile lowers its processor blocks as pool tasks that share a
+# scratch free list and write disjoint ranges of one image; TSan watches
+# both, with the golden image hashes pinning the result.
+FGHP_THREADS=8 ./build-tsan/tests/test_compiled
+FGHP_THREADS=8 ./build-tsan/tests/test_exec_golden
 
 echo "--- Address/UB sanitizers: Matrix Market reader + compiled image ---"
 cmake -B build-asan -G Ninja -DFGHP_SANITIZE=address,undefined \

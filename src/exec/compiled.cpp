@@ -3,6 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cstdint>
+#include <exception>
+#include <memory>
+#include <mutex>
+#include <span>
 #include <string>
 
 #include "exec/kernels.hpp"
@@ -25,6 +30,12 @@ constexpr std::size_t uz(idx_t v) { return static_cast<std::size_t>(v); }
   throw InvariantError(std::move(what), std::move(ctx));
 }
 
+/// `base + count` as an image offset; a running total that leaves the idx_t
+/// range is refused (narrow_idx) instead of wrapping.
+idx_t advance(idx_t base, std::size_t count, const char* what) {
+  return narrow_idx(static_cast<std::int64_t>(base) + static_cast<std::int64_t>(count), what);
+}
+
 /// Cache-locality proxy of one block's multiply loop under a candidate
 /// (group, rhs-slot) renumbering: walk the rhs-slot access sequence in
 /// emission order and charge each jump the bit width of its slot distance —
@@ -32,26 +43,84 @@ constexpr std::size_t uz(idx_t v) { return static_cast<std::size_t>(v); }
 /// in (a gap of 2^k doubles costs ~k), so a tight RCM band over a few
 /// thousand slots scores far below a random spread over millions even
 /// though both exceed a cache line. Lower is better.
-std::uint64_t locality_score(const std::vector<idx_t>& rowNew,
-                             const std::vector<idx_t>& colNew,
-                             const std::vector<idx_t>& localGroupPtr,
-                             const std::vector<idx_t>& grpRhs,
-                             std::vector<idx_t>& oldOfNewScratch) {
-  const idx_t nr = static_cast<idx_t>(rowNew.size());
-  oldOfNewScratch.resize(uz(nr));
-  for (idx_t r = 0; r < nr; ++r) oldOfNewScratch[uz(rowNew[uz(r)])] = r;
+struct LocalityScore {
   std::uint64_t score = 0;
   idx_t prev = 0;
-  for (idx_t newR = 0; newR < nr; ++newR) {
-    const idx_t oldR = oldOfNewScratch[uz(newR)];
-    for (idx_t pos = localGroupPtr[uz(oldR)]; pos < localGroupPtr[uz(oldR) + 1]; ++pos) {
-      const idx_t slot = colNew[uz(grpRhs[uz(pos)])];
-      const idx_t gap = slot > prev ? slot - prev : prev - slot;
-      score += std::bit_width(static_cast<std::uint64_t>(gap));
-      prev = slot;
-    }
+  void visit(idx_t slot) {
+    const idx_t gap = slot > prev ? slot - prev : prev - slot;
+    score += std::bit_width(static_cast<std::uint64_t>(gap));
+    prev = slot;
   }
-  return score;
+};
+
+/// The working set of one running block task. The slot maps are global-sized
+/// (one per input space, one for the output) and read kInvalidIdx between
+/// blocks: a block resets exactly the ids it set before it hands the set on.
+struct BlockScratch {
+  std::vector<std::vector<idx_t>> inSlotOf;
+  std::vector<idx_t> outSlotOf;
+  std::vector<idx_t> touchedOut, cursor, oldOfNewGroup, newGroupPtr, grpRhs, slotIds;
+  std::vector<double> grpVal;
+};
+
+/// Scratch sets of the running block tasks: a task borrows one when it
+/// starts and gives it back when it ends, so there is at most one set per
+/// thread that lowers blocks. A failed block drops its set instead — the
+/// slot maps it leaves behind are not reset.
+class ScratchPool {
+ public:
+  explicit ScratchPool(const Schedule& s) : s_(s) {}
+
+  std::unique_ptr<BlockScratch> borrow() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (!free_.empty()) {
+        std::unique_ptr<BlockScratch> sc = std::move(free_.back());
+        free_.pop_back();
+        return sc;
+      }
+    }
+    auto sc = std::make_unique<BlockScratch>();
+    sc->inSlotOf.resize(s_.inputs.size());
+    for (std::size_t sp = 0; sp < s_.inputs.size(); ++sp)
+      sc->inSlotOf[sp].assign(uz(s_.inputs[sp].size), kInvalidIdx);
+    sc->outSlotOf.assign(uz(s_.output.size), kInvalidIdx);
+    return sc;
+  }
+
+  void give_back(std::unique_ptr<BlockScratch> sc) {
+    std::lock_guard<std::mutex> lk(mu_);
+    free_.push_back(std::move(sc));
+  }
+
+ private:
+  const Schedule& s_;
+  std::mutex mu_;
+  std::vector<std::unique_ptr<BlockScratch>> free_;
+};
+
+/// The tables of one processor whose image offsets depend on the counts of
+/// the processors before it, staged with block-local slot numbers until the
+/// serial prefix fixes every base. Only the per-entry arrays of `in`/`out`
+/// are filled (in: slotGlobal, own, recv; out: own, recv). The task CSR and
+/// the send tables are not staged: their offsets are known up front.
+struct BlockTables {
+  std::vector<idx_t> groupPtr;  ///< block-local task offset of every group, + end
+  std::vector<InSpaceImage> in;
+  OutSpaceImage out;
+  bool reordered = false;
+  std::exception_ptr error;
+};
+
+/// dst[at + i] = src[i] + base.
+void place(std::vector<idx_t>& dst, idx_t at, const std::vector<idx_t>& src, idx_t base) {
+  std::transform(src.begin(), src.end(), dst.begin() + at,
+                 [base](idx_t v) { return v + base; });
+}
+
+/// Adds `base` to the slots of one block's range [from, to) of an image table.
+void rebase(std::vector<idx_t>& v, idx_t from, idx_t to, idx_t base) {
+  for (idx_t i = from; i < to; ++i) v[uz(i)] += base;
 }
 
 }  // namespace
@@ -114,79 +183,82 @@ Image compile(const Schedule& s, const CompileOptions& opts) {
 
   // Pass 1: prefix every space's send buffer and record the flat word base
   // of every message, so receivers can translate (peer, pairIndex) into
-  // absolute send-buffer offsets without any search.
+  // absolute send-buffer offsets without any search. The task offsets are
+  // a prefix too: block p's task CSR starts at taskOff[p].
   std::vector<std::vector<idx_t>> inMsgBase(numIn);
   std::vector<idx_t> outMsgBase;
+  std::vector<idx_t> taskOff(k1, 0);
   for (idx_t p = 0; p < K; ++p) {
     for (std::size_t sp = 0; sp < numIn; ++sp) {
       InSpaceImage& im = c.in[sp];
       idx_t w = im.sendOff[uz(p)];
       for (const Msg& m : s.inComm[sp][uz(p)].sends) {
         inMsgBase[sp].push_back(w);
-        w += static_cast<idx_t>(m.ids.size());
+        w = advance(w, m.ids.size(), "compiled expand send words");
       }
       im.sendOff[uz(p) + 1] = w;
-      im.sendMsgOff[uz(p) + 1] =
-          im.sendMsgOff[uz(p)] + static_cast<idx_t>(s.inComm[sp][uz(p)].sends.size());
+      im.sendMsgOff[uz(p) + 1] = advance(im.sendMsgOff[uz(p)], s.inComm[sp][uz(p)].sends.size(),
+                                         "compiled expand messages");
     }
     idx_t w = c.out.sendOff[uz(p)];
     for (const Msg& m : s.outComm[uz(p)].sends) {
       outMsgBase.push_back(w);
-      w += static_cast<idx_t>(m.ids.size());
+      w = advance(w, m.ids.size(), "compiled fold send words");
     }
     c.out.sendOff[uz(p) + 1] = w;
     c.out.sendMsgOff[uz(p) + 1] =
-        c.out.sendMsgOff[uz(p)] + static_cast<idx_t>(s.outComm[uz(p)].sends.size());
+        advance(c.out.sendMsgOff[uz(p)], s.outComm[uz(p)].sends.size(), "compiled fold messages");
+    taskOff[uz(p) + 1] =
+        advance(taskOff[uz(p)], s.tasks[uz(p)].outId.size(), "compiled task count");
   }
 
-  // Pass 2: per-processor local numbering. The slot maps are global-sized
-  // scratch (one per space), reset entry-by-entry after each processor.
-  // Slots are assigned in two steps: a provisional id in first-use order
-  // over the local tasks (plus expand-recv-only input ids), then — for
-  // baked-constant schedules with the cache reorder on — a bipartite RCM
-  // renumbering of the block so consecutive groups of the multiply loop
-  // touch nearby rhs slots. Every downstream table reads the slot maps
-  // after the renumbering, which is how the permutation folds into the
-  // whole image without touching any schedule order.
-  std::vector<std::vector<idx_t>> inSlotOf(numIn), inTouched(numIn);
-  for (std::size_t sp = 0; sp < numIn; ++sp)
-    inSlotOf[sp].assign(uz(s.inputs[sp].size), kInvalidIdx);
-  std::vector<idx_t> outSlotOf(uz(s.output.size), kInvalidIdx);
-  std::vector<idx_t> touchedOut, groupCount, cursor;
-  std::vector<idx_t> localGroupPtr, grpRhs, grpLhs, oldOfNewGroup, slotIds;
-  std::vector<double> grpVal;
-  sparse::BipartiteOrdering perm;
-
-  std::size_t totalTasks = 0;
-  for (const ProcTasks& t : s.tasks) totalTasks += t.outId.size();
+  const std::size_t totalTasks = uz(taskOff.back());
   c.rhsSlot.resize(totalTasks);
   if (s.lhsConst)
     c.constVals.resize(totalTasks);
   else
     c.lhsSlot.resize(totalTasks);
+  for (InSpaceImage& im : c.in) im.sendId.resize(uz(im.sendOff.back()));
+  c.out.sendSlot.resize(uz(c.out.sendOff.back()));
+  c.out.sendId.resize(uz(c.out.sendOff.back()));
 
-  idx_t taskBase = 0;
-  for (idx_t p = 0; p < K; ++p) {
+  // Pass 2: lower processor p's block with block-local numbering. Slots are
+  // assigned in two steps: a provisional id in first-use order over the
+  // local tasks (plus expand-recv-only input ids), then — for baked-constant
+  // schedules with the cache reorder on — a bipartite RCM renumbering of the
+  // block so consecutive groups of the multiply loop touch nearby rhs slots.
+  // Every downstream table reads the slot maps after the renumbering, which
+  // is how the permutation folds into the whole image without touching any
+  // schedule order. The task CSR and the send tables go straight into the
+  // image; a block reads only the schedule and pass 1, so blocks are
+  // independent of each other.
+  auto lower_block = [&](idx_t p, BlockScratch& sc, BlockTables& b) {
     const ProcTasks& t = s.tasks[uz(p)];
     const std::size_t n = t.outId.size();
     const bool lhsOk = s.lhsConst ? t.constVals.size() == n : t.lhsId.size() == n;
     if (t.rhsId.size() != n || !lhsOk)
       compile_error("ragged task arrays on processor " + std::to_string(p));
-    const idx_t groupBase = c.out.off[uz(p)];
+    b.in.resize(numIn);
+    std::vector<idx_t>& touchedOut = sc.touchedOut;
     touchedOut.clear();
-    for (std::size_t sp = 0; sp < numIn; ++sp) inTouched[sp].clear();
 
     // Provisional (pre-permutation) group and input ids in first-use order
-    // over the local tasks (out, then lhs, then rhs per task).
+    // over the local tasks (out, then lhs, then rhs per task). The touched
+    // ids of an input space are its slot -> global-id table in this order.
+    // A provisional id is bounded by its space's size, so it fits idx_t.
     auto touch_in = [&](std::size_t sp, idx_t id) {
+      std::vector<idx_t>& touched = b.in[sp].slotGlobal;
+      if (sc.inSlotOf[sp][uz(id)] == kInvalidIdx) {
+        sc.inSlotOf[sp][uz(id)] = static_cast<idx_t>(touched.size());
+        touched.push_back(id);
+      }
+    };
+    auto touch_task_in = [&](std::size_t sp, idx_t id) {
       if (id < 0 || id >= s.inputs[sp].size)
         compile_error("processor " + std::to_string(p) + ": task " +
                       s.inputs[sp].name + " id " + std::to_string(id) +
                       " outside the space");
-      if (inSlotOf[sp][uz(id)] == kInvalidIdx) {
-        inSlotOf[sp][uz(id)] = static_cast<idx_t>(inTouched[sp].size());
-        inTouched[sp].push_back(id);
-      }
+      touch_in(sp, id);
     };
     for (std::size_t e = 0; e < n; ++e) {
       const idx_t o = t.outId[e];
@@ -194,12 +266,12 @@ Image compile(const Schedule& s, const CompileOptions& opts) {
         compile_error("processor " + std::to_string(p) + ": task " +
                       s.output.name + " id " + std::to_string(o) +
                       " outside the space");
-      if (outSlotOf[uz(o)] == kInvalidIdx) {
-        outSlotOf[uz(o)] = static_cast<idx_t>(touchedOut.size());
+      if (sc.outSlotOf[uz(o)] == kInvalidIdx) {
+        sc.outSlotOf[uz(o)] = static_cast<idx_t>(touchedOut.size());
         touchedOut.push_back(o);
       }
-      if (!s.lhsConst) touch_in(uz(s.lhsSpace), t.lhsId[e]);
-      touch_in(uz(s.rhsSpace), t.rhsId[e]);
+      if (!s.lhsConst) touch_task_in(uz(s.lhsSpace), t.lhsId[e]);
+      touch_task_in(uz(s.rhsSpace), t.rhsId[e]);
     }
 
     // An expand recv may deliver an id no local task reads (legal in a
@@ -212,37 +284,36 @@ Image compile(const Schedule& s, const CompileOptions& opts) {
           if (id < 0 || id >= s.inputs[sp].size)
             compile_error("processor " + std::to_string(p) + ": " +
                           s.inputs[sp].name + " recv id out of range");
-          if (inSlotOf[sp][uz(id)] == kInvalidIdx) {
-            inSlotOf[sp][uz(id)] = static_cast<idx_t>(inTouched[sp].size());
-            inTouched[sp].push_back(id);
-          }
+          touch_in(sp, id);
         }
       }
     }
-    const idx_t nr = static_cast<idx_t>(touchedOut.size());
-    const idx_t nc = static_cast<idx_t>(inTouched[uz(s.rhsSpace)].size());
+    const idx_t nr = narrow_idx(touchedOut.size(), "compiled groups of one processor");
+    std::vector<idx_t>& rhsTouched = b.in[uz(s.rhsSpace)].slotGlobal;
+    const idx_t nc = narrow_idx(rhsTouched.size(), "compiled rhs slots of one processor");
 
     // Group the local tasks by provisional output slot, preserving the
     // schedule's within-group task order (the canonical accumulation order,
-    // so sums stay bit-identical under any renumbering).
-    groupCount.assign(uz(nr), 0);
-    for (idx_t o : t.outId) ++groupCount[uz(outSlotOf[uz(o)])];
-    localGroupPtr.assign(uz(nr) + 1, 0);
-    for (idx_t r = 0; r < nr; ++r)
-      localGroupPtr[uz(r) + 1] = localGroupPtr[uz(r)] + groupCount[uz(r)];
-    cursor.assign(localGroupPtr.begin(), localGroupPtr.end() - 1);
-    grpRhs.resize(n);
-    if (s.lhsConst)
-      grpVal.resize(n);
-    else
-      grpLhs.resize(n);
+    // so sums stay bit-identical under any renumbering), straight into the
+    // block's range of the image.
+    std::vector<idx_t>& groupPtr = b.groupPtr;
+    groupPtr.assign(uz(nr) + 1, 0);
+    for (idx_t o : t.outId) ++groupPtr[uz(sc.outSlotOf[uz(o)]) + 1];
+    for (idx_t r = 0; r < nr; ++r) groupPtr[uz(r) + 1] += groupPtr[uz(r)];
+    sc.cursor.assign(groupPtr.begin(), groupPtr.end() - 1);
+    const std::size_t base = uz(taskOff[uz(p)]);
+    const std::span<idx_t> rhs = std::span<idx_t>(c.rhsSlot).subspan(base, n);
+    const std::span<double> vals =
+        s.lhsConst ? std::span<double>(c.constVals).subspan(base, n) : std::span<double>();
+    const std::span<idx_t> lhs =
+        s.lhsConst ? std::span<idx_t>() : std::span<idx_t>(c.lhsSlot).subspan(base, n);
     for (std::size_t e = 0; e < n; ++e) {
-      const idx_t pos = cursor[uz(outSlotOf[uz(t.outId[e])])]++;
-      grpRhs[uz(pos)] = inSlotOf[uz(s.rhsSpace)][uz(t.rhsId[e])];
+      const idx_t pos = sc.cursor[uz(sc.outSlotOf[uz(t.outId[e])])]++;
+      rhs[uz(pos)] = sc.inSlotOf[uz(s.rhsSpace)][uz(t.rhsId[e])];
       if (s.lhsConst)
-        grpVal[uz(pos)] = t.constVals[e];
+        vals[uz(pos)] = t.constVals[e];
       else
-        grpLhs[uz(pos)] = inSlotOf[uz(s.lhsSpace)][uz(t.lhsId[e])];
+        lhs[uz(pos)] = sc.inSlotOf[uz(s.lhsSpace)][uz(t.lhsId[e])];
     }
 
     // Second-level cache reordering of the block. The bipartite RCM
@@ -250,108 +321,85 @@ Image compile(const Schedule& s, const CompileOptions& opts) {
     // locality score by a margin — blocks that already arrive well ordered
     // (banded matrices in natural order, tiny fragments with no structure)
     // keep their numbering, so the reorder can help but never regress.
-    perm.rowNew.resize(uz(nr));
-    perm.colNew.resize(uz(nc));
-    for (idx_t r = 0; r < nr; ++r) perm.rowNew[uz(r)] = r;
-    for (idx_t j = 0; j < nc; ++j) perm.colNew[uz(j)] = j;
+    // Under the first-use numbering the multiply walks the block's CSR in
+    // storage order.
     if (c.cacheReordered && nr > 1) {
-      sparse::BipartiteOrdering rcm =
-          sparse::bipartite_rcm(nr, nc, localGroupPtr, grpRhs);
-      const std::uint64_t idScore = locality_score(perm.rowNew, perm.colNew,
-                                                   localGroupPtr, grpRhs, oldOfNewGroup);
-      const std::uint64_t rcmScore =
-          locality_score(rcm.rowNew, rcm.colNew, localGroupPtr, grpRhs, oldOfNewGroup);
+      const sparse::BipartiteOrdering rcm = sparse::bipartite_rcm(nr, nc, groupPtr, rhs);
+      LocalityScore idScore, rcmScore;
+      for (idx_t slot : rhs) idScore.visit(slot);
+      sc.oldOfNewGroup.resize(uz(nr));
+      for (idx_t r = 0; r < nr; ++r) sc.oldOfNewGroup[uz(rcm.rowNew[uz(r)])] = r;
+      for (idx_t oldR : sc.oldOfNewGroup)
+        for (idx_t pos = groupPtr[uz(oldR)]; pos < groupPtr[uz(oldR) + 1]; ++pos)
+          rcmScore.visit(rcm.colNew[uz(rhs[uz(pos)])]);
       // Adopt only on a decisive (>= 25%) score win: the proxy cannot see
       // the multi-stream prefetch a banded natural order enjoys, so a
       // marginal score edge is not worth disturbing it.
-      if (rcmScore * 4 < idScore * 3) {
-        perm = std::move(rcm);
-        ++c.reorderedProcs;
+      if (rcmScore.score * 4 < idScore.score * 3) {
+        b.reordered = true;
+        // Re-emit the block's CSR in permuted group order from a copy of
+        // the provisional one (each group's entries keep their schedule
+        // order).
+        sc.grpRhs.assign(rhs.begin(), rhs.end());
+        sc.grpVal.assign(vals.begin(), vals.end());
+        sc.newGroupPtr.resize(uz(nr) + 1);
+        idx_t run = 0;
+        for (idx_t newR = 0; newR < nr; ++newR) {
+          const idx_t oldR = sc.oldOfNewGroup[uz(newR)];
+          sc.newGroupPtr[uz(newR)] = run;
+          for (idx_t pos = groupPtr[uz(oldR)]; pos < groupPtr[uz(oldR) + 1]; ++pos, ++run) {
+            rhs[uz(run)] = rcm.colNew[uz(sc.grpRhs[uz(pos)])];
+            vals[uz(run)] = sc.grpVal[uz(pos)];
+          }
+        }
+        sc.newGroupPtr[uz(nr)] = run;
+        groupPtr.swap(sc.newGroupPtr);
+
+        // Finalize the slot maps: provisional id -> permuted id. Only the
+        // output and rhs spaces take part in the permutation (the reorder
+        // requires lhsConst); any other input space keeps its first-use
+        // numbering.
+        for (idx_t o : touchedOut) sc.outSlotOf[uz(o)] = rcm.rowNew[uz(sc.outSlotOf[uz(o)])];
+        std::vector<idx_t>& rhsSlotOf = sc.inSlotOf[uz(s.rhsSpace)];
+        for (idx_t id : rhsTouched) rhsSlotOf[uz(id)] = rcm.colNew[uz(rhsSlotOf[uz(id)])];
+        sc.slotIds.resize(uz(nc));
+        for (idx_t j = 0; j < nc; ++j) sc.slotIds[uz(rcm.colNew[uz(j)])] = rhsTouched[uz(j)];
+        rhsTouched.swap(sc.slotIds);
       }
     }
 
-    // Finalize the slot maps: provisional id -> permuted id + base. All
-    // remaining tables of this processor read these final slots. Only the
-    // output and rhs spaces take part in the permutation; any other input
-    // space keeps its first-use numbering.
-    for (idx_t o : touchedOut)
-      outSlotOf[uz(o)] = groupBase + perm.rowNew[uz(outSlotOf[uz(o)])];
-    for (std::size_t sp = 0; sp < numIn; ++sp) {
-      const idx_t base = c.in[sp].off[uz(p)];
-      if (sp == uz(s.rhsSpace)) {
-        for (idx_t id : inTouched[sp])
-          inSlotOf[sp][uz(id)] = base + perm.colNew[uz(inSlotOf[sp][uz(id)])];
-      } else {
-        for (idx_t id : inTouched[sp]) inSlotOf[sp][uz(id)] += base;
-      }
-    }
-
-    // Emit the block's task CSR in permuted group order (each group's
-    // entries keep their schedule order; slots are final). grpLhs holds
-    // provisional lhs-space slots — the lhs space never participates in the
-    // permutation (the reorder requires lhsConst), so final = base + slot.
-    oldOfNewGroup.resize(uz(nr));
-    for (idx_t r = 0; r < nr; ++r) oldOfNewGroup[uz(perm.rowNew[uz(r)])] = r;
-    const idx_t rhsBase = c.in[uz(s.rhsSpace)].off[uz(p)];
-    const idx_t lhsBase = s.lhsConst ? 0 : c.in[uz(s.lhsSpace)].off[uz(p)];
-    idx_t run = taskBase;
-    for (idx_t newR = 0; newR < nr; ++newR) {
-      const idx_t oldR = oldOfNewGroup[uz(newR)];
-      c.groupPtr.push_back(run);
-      for (idx_t pos = localGroupPtr[uz(oldR)]; pos < localGroupPtr[uz(oldR) + 1];
-           ++pos, ++run) {
-        c.rhsSlot[uz(run)] = rhsBase + perm.colNew[uz(grpRhs[uz(pos)])];
-        if (s.lhsConst)
-          c.constVals[uz(run)] = grpVal[uz(pos)];
-        else
-          c.lhsSlot[uz(run)] = lhsBase + grpLhs[uz(pos)];
-      }
-    }
-    taskBase = run;
-
-    c.out.off[uz(p) + 1] = groupBase + nr;
-
-    // Per input space: the slot -> global-id table, the owner gather, the
-    // send gather and the pre-translated recv copies.
+    // Per input space: the owner gather, the send gather and the
+    // pre-translated recv copies.
     for (std::size_t sp = 0; sp < numIn; ++sp) {
       InSpaceImage& im = c.in[sp];
-      const auto& sc = s.inComm[sp][uz(p)];
-      const idx_t ncs = static_cast<idx_t>(inTouched[sp].size());
-      im.off[uz(p) + 1] = im.off[uz(p)] + ncs;
-      slotIds.resize(uz(ncs));
-      if (sp == uz(s.rhsSpace)) {
-        for (idx_t j = 0; j < ncs; ++j)
-          slotIds[uz(perm.colNew[uz(j)])] = inTouched[sp][uz(j)];
-      } else {
-        for (idx_t j = 0; j < ncs; ++j) slotIds[uz(j)] = inTouched[sp][uz(j)];
-      }
-      im.slotGlobal.insert(im.slotGlobal.end(), slotIds.begin(), slotIds.end());
+      InSpaceImage& bt = b.in[sp];
+      const std::vector<idx_t>& slotOf = sc.inSlotOf[sp];
+      const auto& comm = s.inComm[sp][uz(p)];
 
       // Owned values with a local consumer (the MT expand gather).
-      for (idx_t id : sc.owned) {
+      for (idx_t id : comm.owned) {
         if (id < 0 || id >= s.inputs[sp].size)
           compile_error("processor " + std::to_string(p) + ": owned " +
                         s.inputs[sp].name + " id out of range");
-        if (inSlotOf[sp][uz(id)] != kInvalidIdx) {
-          im.ownId.push_back(id);
-          im.ownSlot.push_back(inSlotOf[sp][uz(id)]);
+        if (slotOf[uz(id)] != kInvalidIdx) {
+          bt.ownId.push_back(id);
+          bt.ownSlot.push_back(slotOf[uz(id)]);
         }
       }
-      im.ownOff[uz(p) + 1] = static_cast<idx_t>(im.ownId.size());
 
       // Expand sends gather straight from the global input: the sender owns
       // these ids, so its local copy is the global value.
-      for (const Msg& m : sc.sends)
+      idx_t w = im.sendOff[uz(p)];
+      for (const Msg& m : comm.sends)
         for (idx_t id : m.ids) {
           if (id < 0 || id >= s.inputs[sp].size)
             compile_error("processor " + std::to_string(p) + ": " +
                           s.inputs[sp].name + " send id out of range");
-          im.sendId.push_back(id);
+          im.sendId[uz(w++)] = id;
         }
 
       // Expand recvs: flat (source word -> destination slot) copies.
-      idx_t recvWords = im.recvOff[uz(p)];
-      for (const Msg& m : sc.recvs) {
+      for (const Msg& m : comm.recvs) {
         if (m.peer < 0 || m.peer >= K)
           compile_error("processor " + std::to_string(p) + ": " +
                         s.inputs[sp].name + " recv from invalid peer");
@@ -363,12 +411,10 @@ Image compile(const Schedule& s, const CompileOptions& opts) {
         const idx_t srcBase =
             inMsgBase[sp][uz(im.sendMsgOff[uz(m.peer)] + m.pairIndex)];
         for (std::size_t k = 0; k < m.ids.size(); ++k) {
-          im.recvSlot.push_back(inSlotOf[sp][uz(m.ids[k])]);
-          im.recvSrc.push_back(srcBase + static_cast<idx_t>(k));
+          bt.recvSlot.push_back(slotOf[uz(m.ids[k])]);
+          bt.recvSrc.push_back(srcBase + static_cast<idx_t>(k));
         }
-        recvWords += static_cast<idx_t>(m.ids.size());
       }
-      im.recvOff[uz(p) + 1] = recvWords;
     }
 
     // Fold, owner side: owned output ids this processor actually computed.
@@ -377,26 +423,25 @@ Image compile(const Schedule& s, const CompileOptions& opts) {
       if (o < 0 || o >= s.output.size)
         compile_error("processor " + std::to_string(p) + ": owned " +
                       s.output.name + " id out of range");
-      if (outSlotOf[uz(o)] != kInvalidIdx) {
-        c.out.ownId.push_back(o);
-        c.out.ownSlot.push_back(outSlotOf[uz(o)]);
+      if (sc.outSlotOf[uz(o)] != kInvalidIdx) {
+        b.out.ownId.push_back(o);
+        b.out.ownSlot.push_back(sc.outSlotOf[uz(o)]);
       }
     }
-    c.out.ownOff[uz(p) + 1] = static_cast<idx_t>(c.out.ownId.size());
 
     // Fold sends must reference ids this processor computes a partial for.
+    idx_t w = c.out.sendOff[uz(p)];
     for (const Msg& m : oc.sends)
       for (idx_t o : m.ids) {
-        if (o < 0 || o >= s.output.size || outSlotOf[uz(o)] == kInvalidIdx)
+        if (o < 0 || o >= s.output.size || sc.outSlotOf[uz(o)] == kInvalidIdx)
           compile_error("fold schedule on processor " + std::to_string(p) +
                         " references " + s.output.name + " id " + std::to_string(o) +
                         " it never computes");
-        c.out.sendSlot.push_back(outSlotOf[uz(o)]);
-        c.out.sendId.push_back(o);
+        c.out.sendSlot[uz(w)] = sc.outSlotOf[uz(o)];
+        c.out.sendId[uz(w++)] = o;
       }
 
     // Fold recvs.
-    idx_t outRecvWords = c.out.recvOff[uz(p)];
     for (const Msg& m : oc.recvs) {
       if (m.peer < 0 || m.peer >= K)
         compile_error("processor " + std::to_string(p) + ": fold recv from invalid peer");
@@ -410,28 +455,113 @@ Image compile(const Schedule& s, const CompileOptions& opts) {
         const idx_t o = m.ids[k];
         if (o < 0 || o >= s.output.size)
           compile_error("processor " + std::to_string(p) + ": fold recv id out of range");
-        c.out.recvId.push_back(o);
-        c.out.recvSrc.push_back(srcBase + static_cast<idx_t>(k));
+        b.out.recvId.push_back(o);
+        b.out.recvSrc.push_back(srcBase + static_cast<idx_t>(k));
       }
-      outRecvWords += static_cast<idx_t>(m.ids.size());
     }
-    c.out.recvOff[uz(p) + 1] = outRecvWords;
 
-    // Disarm the slot maps for the next processor.
-    for (idx_t o : touchedOut) outSlotOf[uz(o)] = kInvalidIdx;
+    // Disarm the slot maps for the next block.
+    for (idx_t o : touchedOut) sc.outSlotOf[uz(o)] = kInvalidIdx;
     for (std::size_t sp = 0; sp < numIn; ++sp)
-      for (idx_t id : inTouched[sp]) inSlotOf[sp][uz(id)] = kInvalidIdx;
+      for (idx_t id : b.in[sp].slotGlobal) sc.inSlotOf[sp][uz(id)] = kInvalidIdx;
+  };
+
+  // The blocks run on the shared pool, inline when it resolves to one
+  // thread. Each running task borrows one scratch set; every block records
+  // its own failure, so the pool never aggregates errors.
+  ThreadPool* pool = ThreadPool::for_request(0);
+  auto for_each_block = [&](auto&& fn) {
+    if (pool != nullptr)
+      parallel_for(*pool, static_cast<long>(K), [&](long p) { fn(static_cast<idx_t>(p)); });
+    else
+      for (idx_t p = 0; p < K; ++p) fn(p);
+  };
+  std::vector<BlockTables> blocks(uz(K));
+  {
+    ScratchPool scratch(s);
+    for_each_block([&](idx_t p) {
+      BlockTables& b = blocks[uz(p)];
+      try {
+        trace::TraceScope blockSpan(s.traceCat, "plan.compile.block", "proc", p);
+        std::unique_ptr<BlockScratch> sc = scratch.borrow();
+        lower_block(p, *sc, b);
+        scratch.give_back(std::move(sc));
+      } catch (...) {
+        b.error = std::current_exception();
+      }
+    });
   }
-  c.groupPtr.push_back(taskBase);
+  // A serial lowering stops at the first processor that fails, and a block's
+  // checks run in the same order either way: rethrowing the lowest failing
+  // processor's error reproduces it exactly, at any thread count.
+  for (const BlockTables& b : blocks)
+    if (b.error) std::rethrow_exception(b.error);
+
+  // Pass 3: prefix the per-block counts into the slot, owner and recv
+  // offsets, then size the tables the blocks staged.
+  for (idx_t p = 0; p < K; ++p) {
+    const BlockTables& b = blocks[uz(p)];
+    for (std::size_t sp = 0; sp < numIn; ++sp) {
+      InSpaceImage& im = c.in[sp];
+      const InSpaceImage& bt = b.in[sp];
+      im.off[uz(p) + 1] = advance(im.off[uz(p)], bt.slotGlobal.size(), "compiled input slots");
+      im.ownOff[uz(p) + 1] = advance(im.ownOff[uz(p)], bt.ownId.size(), "compiled owned inputs");
+      im.recvOff[uz(p) + 1] =
+          advance(im.recvOff[uz(p)], bt.recvSlot.size(), "compiled expand recv words");
+    }
+    c.out.off[uz(p) + 1] = advance(c.out.off[uz(p)], b.groupPtr.size() - 1, "compiled groups");
+    c.out.ownOff[uz(p) + 1] =
+        advance(c.out.ownOff[uz(p)], b.out.ownId.size(), "compiled owned outputs");
+    c.out.recvOff[uz(p) + 1] =
+        advance(c.out.recvOff[uz(p)], b.out.recvId.size(), "compiled fold recv words");
+    if (b.reordered) ++c.reorderedProcs;
+  }
+  for (InSpaceImage& im : c.in) {
+    im.slotGlobal.resize(uz(im.off.back()));
+    im.ownId.resize(uz(im.ownOff.back()));
+    im.ownSlot.resize(uz(im.ownOff.back()));
+    im.recvSlot.resize(uz(im.recvOff.back()));
+    im.recvSrc.resize(uz(im.recvOff.back()));
+  }
+  c.out.ownId.resize(uz(c.out.ownOff.back()));
+  c.out.ownSlot.resize(uz(c.out.ownOff.back()));
+  c.out.recvId.resize(uz(c.out.recvOff.back()));
+  c.out.recvSrc.resize(uz(c.out.recvOff.back()));
+  c.groupPtr.resize(uz(c.out.off.back()) + 1);
+  c.groupPtr.back() = taskOff.back();
+
+  // Pass 4: place every block at its offsets, adding the slot bases to its
+  // block-local slots, and release its staging.
+  for_each_block([&](idx_t p) {
+    BlockTables& b = blocks[uz(p)];
+    const idx_t groupBase = c.out.off[uz(p)];
+    for (std::size_t r = 0; r + 1 < b.groupPtr.size(); ++r)
+      c.groupPtr[uz(groupBase) + r] = taskOff[uz(p)] + b.groupPtr[r];
+    rebase(c.rhsSlot, taskOff[uz(p)], taskOff[uz(p) + 1], c.in[uz(s.rhsSpace)].off[uz(p)]);
+    if (!s.lhsConst)
+      rebase(c.lhsSlot, taskOff[uz(p)], taskOff[uz(p) + 1], c.in[uz(s.lhsSpace)].off[uz(p)]);
+    rebase(c.out.sendSlot, c.out.sendOff[uz(p)], c.out.sendOff[uz(p) + 1], groupBase);
+    for (std::size_t sp = 0; sp < numIn; ++sp) {
+      InSpaceImage& im = c.in[sp];
+      const InSpaceImage& bt = b.in[sp];
+      const idx_t slotBase = im.off[uz(p)];
+      place(im.slotGlobal, slotBase, bt.slotGlobal, 0);
+      place(im.ownId, im.ownOff[uz(p)], bt.ownId, 0);
+      place(im.ownSlot, im.ownOff[uz(p)], bt.ownSlot, slotBase);
+      place(im.recvSlot, im.recvOff[uz(p)], bt.recvSlot, slotBase);
+      place(im.recvSrc, im.recvOff[uz(p)], bt.recvSrc, 0);
+    }
+    place(c.out.ownId, c.out.ownOff[uz(p)], b.out.ownId, 0);
+    place(c.out.ownSlot, c.out.ownOff[uz(p)], b.out.ownSlot, groupBase);
+    place(c.out.recvId, c.out.recvOff[uz(p)], b.out.recvId, 0);
+    place(c.out.recvSrc, c.out.recvOff[uz(p)], b.out.recvSrc, 0);
+    b = BlockTables{};
+  });
 
   // The compiled send spaces must cover the schedule's exact traffic: one
   // flat word per scheduled word, nothing more, and the same message count —
   // ExecStats come straight from these offsets.
-  bool covered = static_cast<idx_t>(c.out.sendSlot.size()) == c.out.sendOff.back();
-  for (const InSpaceImage& im : c.in)
-    covered = covered && static_cast<idx_t>(im.sendId.size()) == im.sendOff.back();
-  if (!covered || c.total_words() != s.total_words() ||
-      c.total_messages() != s.total_messages())
+  if (c.total_words() != s.total_words() || c.total_messages() != s.total_messages())
     compile_error("compiled send-buffer offsets do not cover the schedule's traffic");
   return c;
 }

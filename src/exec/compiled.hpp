@@ -16,7 +16,19 @@
 //    prefix offsets (the *Off arrays below),
 //  * Session owns the image plus the scratch vectors, so iterations after
 //    the first perform no heap allocation at all on the serial path (the
-//    threaded path still spawns its worker threads per call).
+//    threaded path runs its supersteps on the shared ThreadPool).
+//
+// The lowering itself is block-parallel: every nonzero belongs to one
+// processor, so after a serial pass that prefixes the send buffers and the
+// task offsets, the K blocks are lowered as independent tasks on the shared
+// pool (inline when it resolves to one thread). Each block numbers its slots
+// locally, writes its task CSR and send tables straight into the image and
+// stages only its small tables; a serial prefix over the blocks' counts then
+// fixes every slot base, and a second parallel pass adds the bases and
+// places the staged tables. Nothing a block writes depends on scheduling,
+// so the image is byte-identical at any thread count, and a corrupt
+// schedule throws the error of its lowest failing processor — exactly what
+// a serial lowering throws. DESIGN.md §10.
 //
 // Both execution paths are bit-identical to each other and across thread
 // counts: each task group accumulates in the schedule's task order and the
@@ -140,10 +152,13 @@ struct CompileOptions {
   cancel::CancelToken cancel;
 };
 
-/// Lowers a schedule. Throws fghp::InvariantError if the fold schedule
-/// references an output id its processor never computes, or if the compiled
-/// send-buffer offsets fail to cover exactly the schedule's total_words() /
-/// total_messages() (both indicate a corrupt schedule).
+/// Lowers a schedule, one processor block per pool task. Throws
+/// fghp::InvariantError if the fold schedule references an output id its
+/// processor never computes, or if the compiled send-buffer offsets fail to
+/// cover exactly the schedule's total_words() / total_messages() (both
+/// indicate a corrupt schedule); when several blocks are corrupt, the lowest
+/// processor's error. Throws fghp::InfeasibleError when an image offset
+/// would leave the idx_t range.
 Image compile(const Schedule& s, const CompileOptions& opts = {});
 
 /// Owns a compiled image plus the scratch to execute it repeatedly.

@@ -7,6 +7,7 @@
 #include "partition/hg/kway_refine.hpp"
 #include "partition/hg/partitioner.hpp"
 #include "util/assert.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
@@ -35,14 +36,17 @@ FineGrainModel build_finegrain(const sparse::Csr& a) {
       }
     }
   }
-  idx_t numVerts = z;
   std::vector<idx_t> dummyOf;  // dummy slot -> diagonal index
-  for (idx_t i = 0; i < n; ++i) {
-    if (m.diagVertex[static_cast<std::size_t>(i)] == kInvalidIdx) {
-      m.diagVertex[static_cast<std::size_t>(i)] = numVerts++;
-      dummyOf.push_back(i);
-    }
-  }
+  for (idx_t i = 0; i < n; ++i)
+    if (m.diagVertex[static_cast<std::size_t>(i)] == kInvalidIdx) dummyOf.push_back(i);
+  // Every vertex pins its row net and its column net, so the pin count (an
+  // idx_t prefix below) is twice the vertex count; refuse both before they wrap.
+  const idx_t numVerts =
+      narrow_idx(static_cast<std::int64_t>(z) + static_cast<std::int64_t>(dummyOf.size()),
+                 "fine-grain vertex count (nonzeros plus dummy diagonals)");
+  narrow_idx(2 * static_cast<std::int64_t>(numVerts), "fine-grain pin count");
+  for (std::size_t d = 0; d < dummyOf.size(); ++d)
+    m.diagVertex[static_cast<std::size_t>(dummyOf[d])] = z + static_cast<idx_t>(d);
 
   std::vector<weight_t> vwgt(static_cast<std::size_t>(numVerts), 1);
   for (std::size_t d = 0; d < dummyOf.size(); ++d)

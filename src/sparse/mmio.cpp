@@ -142,6 +142,11 @@ Csr read_matrix_market(std::istream& in, const std::string& path) {
   // row. Pattern files carry structure only: duplicates collapse to a single
   // unit entry instead of summing past 1 (sign kept for skew mirrors).
   coo.normalize();
+  // Symmetric storage mirrors every off-diagonal entry, so a size line inside
+  // the index range can still expand past it; the CSR row pointers are idx_t.
+  if (symmetric || skew)
+    narrow_idx(coo.entries().size(), "nonzero count after symmetric expansion",
+               at_path(path));
   if (pattern) {
     for (auto& t : coo.entries()) t.value = t.value < 0.0 ? -1.0 : 1.0;
   }

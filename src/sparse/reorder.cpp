@@ -115,7 +115,7 @@ std::vector<idx_t> rcm_ordering(const Csr& a) {
 
 BipartiteOrdering bipartite_rcm(idx_t nRows, idx_t nCols,
                                 const std::vector<idx_t>& rowPtr,
-                                const std::vector<idx_t>& colIdx) {
+                                std::span<const idx_t> colIdx) {
   FGHP_REQUIRE(nRows >= 0 && nCols >= 0, "negative dimension");
   FGHP_REQUIRE(rowPtr.size() == static_cast<std::size_t>(nRows) + 1,
                "rowPtr size must be nRows + 1");

@@ -4,6 +4,7 @@
 // reorder for bandwidth/fill before distributing).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "sparse/csr.hpp"
@@ -44,6 +45,6 @@ struct BipartiteOrdering {
 /// by no row are legal; they sort to the end of the column permutation.
 BipartiteOrdering bipartite_rcm(idx_t nRows, idx_t nCols,
                                 const std::vector<idx_t>& rowPtr,
-                                const std::vector<idx_t>& colIdx);
+                                std::span<const idx_t> colIdx);
 
 }  // namespace fghp::sparse

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <string>
 
 #include "util/assert.hpp"
@@ -28,14 +27,9 @@ TaskGraph build_tasks(const sparse::Csr& a, const sparse::Csr& b) {
   // space cannot hold.
   std::int64_t numTasks = 0;
   for (idx_t k : a.col_ind()) numTasks += bPtr[uz(k) + 1] - bPtr[uz(k)];
-  if (numTasks > std::numeric_limits<idx_t>::max()) {
-    ErrorContext ctx;
-    ctx.phase = "spgemm.tasks";
-    throw InfeasibleError("SpGEMM has " + std::to_string(numTasks) +
-                              " scalar tasks, more than the index range (" +
-                              std::to_string(std::numeric_limits<idx_t>::max()) + ")",
-                          std::move(ctx));
-  }
+  ErrorContext ctx;
+  ctx.phase = "spgemm.tasks";
+  narrow_idx(numTasks, "SpGEMM scalar task count", std::move(ctx));
 
   TaskGraph t;
   t.aRows = a.num_rows();

@@ -26,9 +26,13 @@
 #pragma once
 
 #include <exception>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "util/types.hpp"
 
 namespace fghp {
 
@@ -143,6 +147,19 @@ class AggregateError : public Error {
  private:
   std::vector<std::exception_ptr> errors_;
 };
+
+/// Checked narrowing of a count or index to idx_t: a value outside idx_t's
+/// range throws InfeasibleError naming `what` (the input is well-formed but
+/// larger than the 32-bit index space) instead of wrapping silently.
+template <class T>
+idx_t narrow_idx(T value, const char* what, ErrorContext ctx = {}) {
+  if (!std::in_range<idx_t>(value))
+    throw InfeasibleError(std::string(what) + " is " + std::to_string(value) +
+                              ", outside the index range (" +
+                              std::to_string(std::numeric_limits<idx_t>::max()) + ")",
+                          std::move(ctx));
+  return static_cast<idx_t>(value);
+}
 
 /// Process exit code for an exception: Error -> its category code,
 /// std::invalid_argument (FGHP_REQUIRE / bad CLI input) -> kUsage,

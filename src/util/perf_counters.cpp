@@ -40,6 +40,8 @@ std::atomic<bool>& enabled_flag() {
   return on;
 }
 
+#ifdef FGHP_PERF_LIVE
+
 void warn_unavailable(const char* why) {
   // Exactly one warning per process (per reset_for_test in tests): the
   // degradation is expected in containers/CI and must not flood stderr.
@@ -48,8 +50,6 @@ void warn_unavailable(const char* why) {
     push_warning(std::string("hardware perf counters unavailable (") + why +
                  "); profiling counters will read as zero");
 }
-
-#ifdef FGHP_PERF_LIVE
 
 constexpr int kNumEvents = 4;
 

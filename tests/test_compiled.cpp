@@ -5,7 +5,9 @@
 // suite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 
 #include "comm/volume.hpp"
 #include "models/checkerboard.hpp"
@@ -20,6 +22,7 @@
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
+#include "util/trace.hpp"
 
 #include "exec_ledger.hpp"
 
@@ -118,6 +121,57 @@ TEST(CompilePlan, RejectsFoldOfUncomputedRow) {
     return;
   }
   GTEST_SKIP() << "no processor suitable for corruption";
+}
+
+TEST(CompilePlan, LowestFailingProcessorWins) {
+  // Corrupt fold sends on processors 1 and 3: the block-parallel lowering
+  // must throw what a serial lowering throws — processor 1's InvariantError,
+  // never processor 3's and never an AggregateError. ctest also runs this
+  // case at FGHP_THREADS=1 (inline lowering) and 8 (pooled lowering).
+  const sparse::Csr a = sparse::random_square(80, 5, 6);
+  SpmvPlan plan = build_plan(a, random_decomposition(a, 4, 9));
+  for (std::size_t p : {std::size_t{1}, std::size_t{3}}) {
+    auto& ySends = plan.outComm[p].sends;
+    ASSERT_FALSE(ySends.empty()) << "processor " << p;
+    std::vector<bool> computed(static_cast<std::size_t>(a.num_rows()), false);
+    for (idx_t i : plan.tasks[p].outId) computed[static_cast<std::size_t>(i)] = true;
+    const auto bogus = std::find(computed.begin(), computed.end(), false);
+    ASSERT_NE(bogus, computed.end()) << "processor " << p;
+    ySends.back().ids.push_back(static_cast<idx_t>(bogus - computed.begin()));
+  }
+  for (int rep = 0; rep < 5; ++rep) {
+    try {
+      (void)exec::compile(plan);
+      FAIL() << "expected InvariantError";
+    } catch (const InvariantError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("fold schedule on processor 1 "), std::string::npos) << what;
+      EXPECT_EQ(what.find("processor 3"), std::string::npos) << what;
+      EXPECT_EQ(e.context().phase, "plan-compile");
+    }
+  }
+}
+
+TEST(CompilePlan, OneBlockSpanPerProcessor) {
+  // Every block records one plan.compile.block span carrying its processor,
+  // on whichever thread lowered it.
+  const sparse::Csr a = sparse::random_square(120, 6, 5);
+  const SpmvPlan plan = build_plan(a, random_decomposition(a, 8, 11));
+  trace::enable();
+  trace::reset();
+  (void)exec::compile(plan);
+  const std::vector<trace::EventView> events = trace::snapshot_events();
+  trace::disable();
+  trace::reset();
+  std::vector<int> seen(8, 0);
+  for (const trace::EventView& e : events)
+    if (e.kind == trace::EventKind::kSpan && std::string(e.name) == "plan.compile.block") {
+      ASSERT_STREQ(e.k0, "proc");
+      ASSERT_GE(e.v0, 0);
+      ASSERT_LT(e.v0, 8);
+      ++seen[static_cast<std::size_t>(e.v0)];
+    }
+  EXPECT_EQ(seen, std::vector<int>(8, 1));
 }
 
 // -------------------------------------------------------- session reuse ----

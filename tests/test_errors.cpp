@@ -2,6 +2,7 @@
 // aggregation, and the process-global warning log.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -77,6 +78,31 @@ TEST(Error, CodeNames) {
   EXPECT_STREQ(error_code_name(ErrorCode::kFault), "fault");
   EXPECT_STREQ(error_code_name(ErrorCode::kCancelled), "cancelled");
   EXPECT_STREQ(error_code_name(ErrorCode::kDeadline), "deadline");
+}
+
+TEST(NarrowIdx, PassesEveryValueInsideTheIndexRange) {
+  EXPECT_EQ(narrow_idx(std::size_t{0}, "zero"), 0);
+  EXPECT_EQ(narrow_idx(std::int64_t{-5}, "negative"), -5);
+  EXPECT_EQ(narrow_idx(std::int64_t{2147483647}, "largest"), 2147483647);
+}
+
+TEST(NarrowIdx, OverflowIsATypedErrorNamingTheCount) {
+  // One past the idx_t range, from a signed and an unsigned source, must
+  // throw rather than wrap to a negative or small index.
+  ErrorContext ctx;
+  ctx.phase = "test.narrow";
+  try {
+    (void)narrow_idx(std::int64_t{2147483648}, "widget count", ctx);
+    FAIL() << "expected InfeasibleError";
+  } catch (const InfeasibleError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInfeasible);
+    EXPECT_EQ(e.context().phase, "test.narrow");
+    const std::string what = e.what();
+    EXPECT_NE(what.find("widget count"), std::string::npos) << what;
+    EXPECT_NE(what.find("2147483648"), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)narrow_idx(std::size_t{1} << 40, "slots"), InfeasibleError);
+  EXPECT_THROW((void)narrow_idx(std::int64_t{-2147483649}, "offset"), InfeasibleError);
 }
 
 template <typename E>
